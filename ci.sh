@@ -10,7 +10,8 @@
 # race detector exercises the job engine, the simulator core and all unit
 # tests without the ~10x race-mode slowdown on multi-minute simulations.
 # The full (non-short, no-race) suite then covers those sweeps at native
-# speed.
+# speed, once at GOMAXPROCS=1 (every fan-out runs inline) and once at
+# GOMAXPROCS=4 (every fan-out runs on goroutines).
 set -eu
 cd "$(dirname "$0")"
 
@@ -33,8 +34,11 @@ echo "== go test -race -run Sharded ./... (parallel-kernel invariance under the 
 go test -race -run Sharded ./...
 
 if [ "${1:-}" != "quick" ]; then
-	echo "== go test ./..."
-	go test ./...
+	echo "== GOMAXPROCS=1 go test ./..."
+	GOMAXPROCS=1 go test ./...
+
+	echo "== GOMAXPROCS=4 go test ./..."
+	GOMAXPROCS=4 go test ./...
 
 	echo "== dlbench fault smoke (lossy run with a dead link must complete)"
 	go run ./cmd/dlbench -exp table1 -q -fault 'ber=1e-7,down=1-2@50us' >/dev/null
@@ -53,10 +57,6 @@ if [ "${1:-}" != "quick" ]; then
 	"$tmp/dlsim" -workload p2p >"$tmp/golden_check.txt"
 	cmp testdata/golden_dlsim_p2p.txt "$tmp/golden_check.txt"
 
-	echo "== dlsim sharded-kernel golden (-shards N must not change a byte)"
-	"$tmp/dlsim" -workload p2p -shards 4 >"$tmp/golden_shards.txt"
-	cmp testdata/golden_dlsim_p2p.txt "$tmp/golden_shards.txt"
-
 	echo "== shard differential harness (captured workloads, shards 1/2/4/8 vs single queue)"
 	go test -run 'ShardedReportByteIdentity|ShardedExperimentByteIdentity' \
 		./internal/spec/ ./internal/exp/
@@ -71,22 +71,20 @@ if [ "${1:-}" != "quick" ]; then
 	echo "== dlsim collective golden (train/AllReduce run must keep stdout byte-identical)"
 	"$tmp/dlsim" -workload train -scale 12 -iters 2 >"$tmp/golden_train.txt"
 	cmp testdata/golden_dlsim_train.txt "$tmp/golden_train.txt"
-	"$tmp/dlsim" -workload train -scale 12 -iters 2 -shards 4 >"$tmp/golden_train_shards.txt"
-	cmp testdata/golden_dlsim_train.txt "$tmp/golden_train_shards.txt"
 
-	echo "== dlsim parallel golden (-shards 4 -parallel must not change a byte)"
-	"$tmp/dlsim" -workload p2p -shards 4 -parallel >"$tmp/golden_par.txt"
+	echo "== dlsim parallel golden (-parallel 4 must not change a byte)"
+	"$tmp/dlsim" -workload p2p -parallel 4 >"$tmp/golden_par.txt"
 	cmp testdata/golden_dlsim_p2p.txt "$tmp/golden_par.txt"
-	"$tmp/dlsim" -workload train -scale 12 -iters 2 -shards 4 -parallel >"$tmp/golden_train_par.txt"
+	"$tmp/dlsim" -workload train -scale 12 -iters 2 -parallel 4 >"$tmp/golden_train_par.txt"
 	cmp testdata/golden_dlsim_train.txt "$tmp/golden_train_par.txt"
 
-	echo "== external trace golden (dlsim -tracein + traffic matrix, shards-invariant)"
+	echo "== external trace golden (dlsim -tracein + traffic matrix, -parallel-invariant)"
 	"$tmp/dlsim" -tracein testdata/external.trace -traffic "$tmp/traffic_external.csv" \
 		>"$tmp/golden_tracein.txt"
 	cmp testdata/golden_dlsim_tracein.txt "$tmp/golden_tracein.txt"
 	cmp testdata/golden_traffic_external.csv "$tmp/traffic_external.csv"
-	"$tmp/dlsim" -tracein testdata/external.trace -shards 4 >"$tmp/golden_tracein_shards.txt"
-	cmp testdata/golden_dlsim_tracein.txt "$tmp/golden_tracein_shards.txt"
+	"$tmp/dlsim" -tracein testdata/external.trace -parallel 4 >"$tmp/golden_tracein_par.txt"
+	cmp testdata/golden_dlsim_tracein.txt "$tmp/golden_tracein_par.txt"
 
 	echo "== tracegen round trip (text and binary encodings replay identically)"
 	go build -o "$tmp/tracegen" ./cmd/tracegen

@@ -36,8 +36,7 @@ func main() {
 		seed     = flag.Int64("seed", spec.DefaultSeed, "input generator seed")
 		jobs     = flag.Int("jobs", runtime.GOMAXPROCS(0), "parallel simulation jobs per experiment")
 		quiet    = flag.Bool("q", false, "suppress per-job progress on stderr")
-		shards   = flag.Int("shards", 0, "build every system on the sharded event kernel with N lanes (0/1 = single queue; tables are byte-identical for every value)")
-		parallel = flag.Bool("parallel", false, "run lane-confined kernel phases concurrently on every sharded system (requires -shards > 1; tables are byte-identical)")
+		parallel = flag.Int("parallel", 0, "run every system on N event lanes with lane-confined kernel phases in parallel (0/1 = single queue; tables are byte-identical for every value)")
 		csv      = flag.String("csv", "", "directory to also write tables as CSV")
 
 		faultSpec = flag.String("fault", "", "link-fault plan applied to every DIMM-Link run, e.g. 'ber=1e-7,down=0-1@10us' (see dlsim -fault)")
@@ -89,12 +88,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "dlbench: %v\n", err)
 		os.Exit(1)
 	}
-	opts.Shards = *shards
 	opts.Parallel = *parallel
-	if *parallel && *shards <= 1 {
-		fmt.Fprintln(os.Stderr, "dlbench: -parallel requires -shards > 1")
-		os.Exit(2)
-	}
 	targets, err := sp.Targets()
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "dlbench: %v (use -list)\n", err)

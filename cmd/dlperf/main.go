@@ -45,12 +45,10 @@ type suiteResult struct {
 	SimNS        uint64  `json:"sim_ns"`        // simulated time covered
 	SimRealRatio float64 `json:"sim_real_ratio"`
 
-	// Sharded-kernel columns (kernel-par suite only).
-	Shards               int     `json:"shards,omitempty"`
-	SpeedupVsSingleShard float64 `json:"speedup_vs_single_shard,omitempty"`
-
-	// Phase-parallel column (model-par suite only): wall-clock ratio of
-	// the merged-mode run to the SetParallel(true) run of the same spec.
+	// Phase-parallel columns (model-par suite only): the lane count, and
+	// the wall-clock ratio of the merged-mode run to the parallel run of
+	// the same spec.
+	Shards          int     `json:"shards,omitempty"`
 	SpeedupVsMerged float64 `json:"speedup_vs_merged,omitempty"`
 }
 
@@ -80,7 +78,6 @@ func main() {
 		run  func(quick bool) suiteResult
 	}{
 		{"kernel", benchKernel},
-		{"kernel-par", benchKernelPar},
 		{"model-par", benchModelPar},
 		{"noc-p2p", benchP2P},
 		{"table4-suite", benchTableIV},
@@ -178,71 +175,6 @@ func benchKernel(quick bool) suiteResult {
 		}
 	}
 	return best
-}
-
-// benchKernelPar measures the sharded event kernel on the same duty cycle
-// as benchKernel, scaled out: ShardBench partitions the actor population
-// into lane-owned groups with cross-group mail riding the deterministic
-// mailbox. A single-lane run is measured first as the baseline, then the
-// sharded run; the recorded row is the sharded one, with the speedup
-// column. The digests must match — the run aborts otherwise — so the row
-// only ever reports correctly-ordered work. On a single-core host the
-// speedup comes from cache residency: each lane's heap is a fraction of
-// the monolithic heap, and window bursts keep it hot.
-func benchKernelPar(quick bool) suiteResult {
-	cfg := sim.ShardBenchConfig{
-		Groups:     64,
-		PerGroup:   8192,
-		Events:     20_000_000,
-		MaxDelay:   1 << 14,
-		Lookahead:  8192,
-		CrossEvery: 64,
-		Seed:       0x9e3779b9,
-	}
-	reps := 3
-	if quick {
-		cfg.PerGroup = 1024
-		cfg.Events = 2_000_000
-		reps = 1
-	}
-	const lanes = 16
-
-	// Best-of-N on both sides: each side's minimum wall time is the least
-	// noise-contaminated observation, so their ratio is the steady-state
-	// speedup rather than a draw from the scheduler-noise distribution.
-	measure := func(n int) (best time.Duration, res sim.ShardBenchResult, allocs uint64) {
-		for r := 0; r < reps; r++ {
-			var ms0, ms1 runtime.MemStats
-			runtime.ReadMemStats(&ms0)
-			start := time.Now()
-			res = sim.RunShardBench(n, cfg)
-			wall := time.Since(start)
-			runtime.ReadMemStats(&ms1)
-			if r == 0 || wall < best {
-				best = wall
-				allocs = ms1.Mallocs - ms0.Mallocs
-			}
-		}
-		return best, res, allocs
-	}
-	baseWall, base, _ := measure(1)
-	wall, got, allocs := measure(lanes)
-
-	if got.Digest != base.Digest || got.Events != base.Events {
-		fatal(fmt.Errorf("kernel-par: sharded run diverged from single-lane run: %+v vs %+v", got, base))
-	}
-	speedup := 0.0
-	if wall > 0 {
-		speedup = float64(baseWall) / float64(wall)
-	}
-	return suiteResult{
-		Events:               got.Events,
-		WallNS:               wall.Nanoseconds(),
-		AllocsPerOp:          float64(allocs) / float64(got.Events),
-		SimNS:                got.SimSpan / uint64(sim.Nanosecond),
-		Shards:               lanes,
-		SpeedupVsSingleShard: speedup,
-	}
 }
 
 // benchModelPar measures the full-system phase-parallel mode: the same

@@ -157,22 +157,6 @@ func GroupsFor(numDIMMs int) int {
 	return 2
 }
 
-// CrossGroupLookahead derives the conservative synchronization window for
-// sharding the event kernel by DL group: no effect can cross a group
-// boundary faster than one flit's serialization on the DL SerDes plus one
-// hop of wire + router pipeline — and the actual cross-group paths (host
-// notice + forwarding, or the CXL fabric) are orders of magnitude slower
-// still. Any sharded schedule that only admits cross-shard events at or
-// beyond this window is therefore safe for DIMM-Link systems.
-func CrossGroupLookahead(cfg Config) sim.Time {
-	groups := cfg.NumGroups
-	if groups <= 0 {
-		groups = 1
-	}
-	flit := sim.TransferTime(uint64(cfg.Link.FlitBytes), cfg.Link.BytesPerSec)
-	return sim.LookaheadWindow(flit, cfg.Link.WireLatency+cfg.Link.RouterLatency, groups)
-}
-
 // arrivalScratch hands out reusable per-shard arrival buffers for the
 // fault-path broadcast flood. PR 5 kept one buffer per group, safe only
 // under the engine's single-thread assumption; under the sharded kernel

@@ -7,36 +7,6 @@ import (
 	"repro/internal/sim"
 )
 
-// TestCrossGroupLookahead pins the window derivation against the default
-// link parameters: one flit's serialization plus one hop of wire + router
-// pipeline, always strictly positive, and independent of the group count
-// (the window is a property of the physical path).
-func TestCrossGroupLookahead(t *testing.T) {
-	cfg := DefaultConfig(2)
-	w := CrossGroupLookahead(cfg)
-	if w == 0 {
-		t.Fatal("zero lookahead window")
-	}
-	flit := sim.TransferTime(uint64(cfg.Link.FlitBytes), cfg.Link.BytesPerSec)
-	want := flit + cfg.Link.WireLatency + cfg.Link.RouterLatency
-	if w != want {
-		t.Fatalf("window = %d, want flit(%d) + wire+router(%d) = %d",
-			w, flit, cfg.Link.WireLatency+cfg.Link.RouterLatency, want)
-	}
-	// A zero-group config (hand-built, defaults not yet applied) must not
-	// panic, and more groups must not shrink the window.
-	zero := cfg
-	zero.NumGroups = 0
-	if CrossGroupLookahead(zero) != w {
-		t.Fatal("zero-group config changed the window")
-	}
-	four := cfg
-	four.NumGroups = 4
-	if CrossGroupLookahead(four) != w {
-		t.Fatal("group count changed the window")
-	}
-}
-
 // TestShardedBroadcastScratch is the race regression for the PR-5
 // broadcast arrival buffer: the old code kept one lazily-grown buffer per
 // DL group, which two lanes flooding at the same wall-clock moment would

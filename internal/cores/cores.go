@@ -19,8 +19,6 @@ package cores
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
 
 	"repro/internal/sim"
 )
@@ -619,21 +617,7 @@ func (g *Group) fill(t *thread) {
 // heavy workloads the goroutines' own Go-side work (input generation,
 // gradient math) dominates wall time, not event processing.
 func (g *Group) fillAll(ts []*thread) {
-	if len(ts) <= 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, t := range ts {
-			g.fill(t)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, t := range ts {
-		wg.Add(1)
-		go func(t *thread) {
-			defer wg.Done()
-			g.fill(t)
-		}(t)
-	}
-	wg.Wait()
+	sim.Fan(len(ts), func(i int) { g.fill(ts[i]) })
 }
 
 // stepPhased consumes one queued op for t, or — when the queue is

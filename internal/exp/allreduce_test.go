@@ -7,7 +7,7 @@ import (
 
 // renderAllReduce runs the allreduce experiment with the given execution
 // policy and returns the rendered tables.
-func renderAllReduce(t *testing.T, jobs, shards int) []byte {
+func renderAllReduce(t *testing.T, jobs, parallel int) []byte {
 	t.Helper()
 	e, ok := ByID("allreduce")
 	if !ok {
@@ -15,7 +15,7 @@ func renderAllReduce(t *testing.T, jobs, shards int) []byte {
 	}
 	o := DefaultOptions()
 	o.Jobs = jobs
-	o.Shards = shards
+	o.Parallel = parallel
 	var buf bytes.Buffer
 	for _, tb := range e.Run(o) {
 		tb.Render(&buf)
@@ -40,14 +40,15 @@ func TestAllReduceJobsByteIdentity(t *testing.T) {
 	}
 }
 
-// TestAllReduceShardsByteIdentity is the -shards half: the same grid on
-// the sharded event kernel must match the single-queue run byte for byte.
+// TestAllReduceShardsByteIdentity is the -parallel half: the same grid on
+// four event lanes in parallel mode must match the single-queue run byte
+// for byte.
 func TestAllReduceShardsByteIdentity(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sharded allreduce grid skipped in -short mode")
+		t.Skip("parallel allreduce grid skipped in -short mode")
 	}
 	want := renderAllReduce(t, 2, 0)
 	if got := renderAllReduce(t, 2, 4); !bytes.Equal(got, want) {
-		t.Fatalf("shards=4 diverges from single-queue run:\n--- shards=0\n%s--- shards=4\n%s", want, got)
+		t.Fatalf("parallel=4 diverges from single-queue run:\n--- parallel=0\n%s--- parallel=4\n%s", want, got)
 	}
 }

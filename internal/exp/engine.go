@@ -16,6 +16,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/sim"
 )
 
 // workers resolves the pool width: Jobs when positive, else every
@@ -63,11 +65,14 @@ func jobSeed(base int64, idx int) int64 {
 }
 
 // runJobs executes fn(0), ..., fn(n-1) on a pool of o.workers()
-// goroutines and returns the results in index order. fn must be safe to
-// call concurrently with itself; in this package that holds because each
-// job constructs everything it touches. Progress (when set) observes
+// workers pulling job indices from a shared counter (sim.Fan), and
+// returns the results in index order. fn must be safe to call
+// concurrently with itself; in this package that holds because each job
+// constructs everything it touches. Progress (when set) observes
 // completions serialized under a lock, so callbacks never race even
-// though jobs finish on different goroutines.
+// though jobs finish on different goroutines. A panicking job stops its
+// worker; once the others drain the grid the panic reaches the caller as
+// a *sim.FanPanic.
 //
 // Cancellation: when Options.Ctx is canceled, no further jobs are
 // dispatched (in-flight jobs run to completion — one simulation is not
@@ -94,36 +99,17 @@ func runJobs[T any](o Options, n int, fn func(idx int) T) []T {
 		o.Progress(done, n)
 		mu.Unlock()
 	}
-	if w <= 1 {
-		for i := range out {
-			if err := ctx.Err(); err != nil {
-				panic(canceled{err})
+	var next atomic.Int64
+	sim.Fan(w, func(int) {
+		for ctx.Err() == nil {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
 			}
 			out[i] = fn(i)
 			report()
 		}
-		return out
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for {
-				if ctx.Err() != nil {
-					return
-				}
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				out[i] = fn(i)
-				report()
-			}
-		}()
-	}
-	wg.Wait()
+	})
 	if err := ctx.Err(); err != nil {
 		panic(canceled{err})
 	}

@@ -7,6 +7,9 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+
+	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 // TestRunJobsOrder checks that results land at their job's index no matter
@@ -151,6 +154,32 @@ func TestRunContext(t *testing.T) {
 	if tables != nil {
 		t.Fatal("canceled RunContext returned tables")
 	}
+}
+
+// TestRunContextJobPanicReachesCaller runs a Jobs: 2 grid on real
+// goroutines in which one job panics: RunContext's caller must recover
+// that panic, not watch the process die on a pool worker.
+func TestRunContextJobPanicReachesCaller(t *testing.T) {
+	prev := runtime.GOMAXPROCS(4)
+	defer runtime.GOMAXPROCS(prev)
+
+	grid := Experiment{ID: "grid", Run: func(o Options) []*stats.Table {
+		runJobs(o, 6, func(i int) int {
+			if i == 3 {
+				panic("job 3 failed")
+			}
+			return i
+		})
+		return nil
+	}}
+	defer func() {
+		p, ok := recover().(*sim.FanPanic)
+		if !ok || p.Index > 1 || p.Value != "job 3 failed" {
+			t.Fatalf("recovered %#v, want a worker's *sim.FanPanic of job 3", p)
+		}
+	}()
+	RunContext(grid, Options{Jobs: 2})
+	t.Fatal("RunContext returned after a job panicked")
 }
 
 // TestWorkers checks the Jobs -> worker-count mapping.

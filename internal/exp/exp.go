@@ -59,17 +59,13 @@ type Options struct {
 	// collector; bare runs are unaffected.
 	SamplePeriod sim.Time
 
-	// Shards > 1 builds every simulated system on the sharded event
-	// kernel (nmp.Config.Shards). The deterministic-merge mode keeps
-	// every rendered table bit-identical for every value, exactly like
-	// Jobs.
-	Shards int
-
-	// Parallel runs lane-confined kernel phases concurrently on each
-	// sharded system (nmp.System.SetParallel). No effect unless Shards
-	// > 1; every rendered table stays bit-identical, exactly like Jobs
-	// and Shards.
-	Parallel bool
+	// Parallel > 1 builds every simulated system on that many event
+	// lanes (nmp.Config.Shards) and runs lane-confined kernel phases
+	// concurrently (nmp.System.SetParallel), the -parallel N rule of
+	// spec.ParallelHooks; 0 and 1 keep the single-queue engine. Systems
+	// with an armed sampler stay in merged mode. Every rendered table is
+	// bit-identical for every value, exactly like Jobs.
+	Parallel int
 }
 
 // DefaultOptions returns quick-mode options (seed 42, pool width
@@ -149,6 +145,8 @@ func All() []Experiment {
 // the cancellable entry point used by long-running callers (dlserve);
 // with a nil or never-canceled Options.Ctx it behaves exactly like
 // e.Run(o) and the returned tables are byte-identical to a direct call.
+// Any other panic, a job's included (as a *sim.FanPanic), is re-raised on
+// the caller.
 func RunContext(e Experiment, o Options) (tables []*stats.Table, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -204,7 +202,7 @@ func execute(o Options, w workloads.Workload, mech nmp.Mechanism, cfg sysConfig,
 
 	c := nmp.DefaultConfig(cfg.dimms, cfg.channels, mech)
 	o.tune(&c)
-	c.Shards = o.Shards
+	c.Shards = o.Parallel
 	if o.Fault.Active() {
 		c.DL.Fault = o.Fault
 	}
@@ -215,7 +213,7 @@ func execute(o Options, w workloads.Workload, mech nmp.Mechanism, cfg sysConfig,
 	if c.Metrics != nil && o.SamplePeriod > 0 {
 		sys.StartSampler(o.SamplePeriod)
 	}
-	if o.Parallel && o.Shards > 1 && !(c.Metrics != nil && o.SamplePeriod > 0) {
+	if o.Parallel > 1 && !(c.Metrics != nil && o.SamplePeriod > 0) {
 		if err := sys.SetParallel(true); err != nil {
 			panic(fmt.Sprintf("exp: enabling parallel execution: %v", err))
 		}

@@ -5,10 +5,10 @@ import (
 	"testing"
 )
 
-// TestShardedExperimentByteIdentity runs one full experiment grid on the
-// sharded kernel and checks every rendered table against the single-queue
+// TestShardedExperimentByteIdentity runs one full experiment grid in
+// parallel mode and checks every rendered table against the single-queue
 // run — the experiment-harness end of the shard differential (the per-
-// workload harness lives in internal/spec). Options.Shards, like
+// workload harness lives in internal/spec). Options.Parallel, like
 // Options.Jobs, must never change a rendered byte.
 func TestShardedExperimentByteIdentity(t *testing.T) {
 	// fig01 sweeps real simulations (the motivation bandwidth curves) in
@@ -17,10 +17,10 @@ func TestShardedExperimentByteIdentity(t *testing.T) {
 	if !ok {
 		t.Fatal("experiment fig01 not registered")
 	}
-	render := func(shards int) []byte {
+	render := func(parallel int) []byte {
 		o := DefaultOptions()
 		o.Jobs = 2
-		o.Shards = shards
+		o.Parallel = parallel
 		var buf bytes.Buffer
 		for _, tb := range e.Run(o) {
 			tb.Render(&buf)
@@ -37,7 +37,7 @@ func TestShardedExperimentByteIdentity(t *testing.T) {
 	}
 	for _, n := range counts {
 		if got := render(n); !bytes.Equal(got, want) {
-			t.Fatalf("shards=%d: tables diverge from single-queue run\n--- shards=0\n%s--- shards=%d\n%s",
+			t.Fatalf("parallel=%d: tables diverge from single-queue run\n--- parallel=0\n%s--- parallel=%d\n%s",
 				n, want, n, got)
 		}
 	}

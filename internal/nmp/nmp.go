@@ -78,13 +78,12 @@ type Config struct {
 
 	// Shards, when > 1, builds the system on a sharded event kernel
 	// (sim.ShardedEngine): DIMMs are split into contiguous blocks, one
-	// event lane each, with the conservative lookahead derived from the
-	// DL link SerDes and hop latency. The full system model runs in
-	// deterministic-merge mode — execution order, and therefore every
-	// output byte, is identical to the single-engine run for any shard
-	// count — so Shards is pure execution policy: it is set by SimHooks /
-	// exp.Options, never by the content-addressed spec. Values above the
-	// DIMM count are clamped; 0 and 1 keep the plain single engine.
+	// event lane each. The full system model runs in deterministic-merge
+	// mode — execution order, and therefore every output byte, is
+	// identical to the single-engine run for any shard count — so Shards
+	// is pure execution policy: it is set by SimHooks / exp.Options,
+	// never by the content-addressed spec. Values above the DIMM count
+	// are clamped; 0 and 1 keep the plain single engine.
 	Shards int
 }
 
@@ -179,18 +178,7 @@ func NewSystem(cfg Config) (*System, error) {
 	eng := sim.NewEngine()
 	var sharded *sim.ShardedEngine
 	if cfg.Shards > 1 {
-		lanes := cfg.Shards
-		if lanes > cfg.Geo.NumDIMMs {
-			lanes = cfg.Geo.NumDIMMs
-		}
-		// The lookahead comes from the DL link physics; mechanisms without
-		// DL links still get a valid (positive) window, which the merged
-		// mode never consults for correctness anyway.
-		dl := cfg.DL
-		if dl.NumGroups <= 0 {
-			dl.NumGroups = core.GroupsFor(cfg.Geo.NumDIMMs)
-		}
-		sharded = sim.NewShardedEngine(lanes, core.CrossGroupLookahead(dl))
+		sharded = sim.NewShardedEngine(min(cfg.Shards, cfg.Geo.NumDIMMs))
 		eng = sharded.Lane(0)
 	}
 	space := mem.MustNewSpace(cfg.Geo)

@@ -718,9 +718,15 @@ func TestCorruptSpillRecomputes(t *testing.T) {
 	_, want := getResult(t, ts, sub.ID, "")
 
 	// Damage the spilled file, then force the next submit through the
-	// disk path by clearing the hot LRU.
+	// disk path by clearing the hot LRU. The spill runs after the job is
+	// marked done (Store.Put renames the file into place), so wait for
+	// it to land.
 	path := filepath.Join(dir, sub.Hash+".res")
 	raw, err := os.ReadFile(path)
+	for deadline := time.Now().Add(10 * time.Second); os.IsNotExist(err) && time.Now().Before(deadline); {
+		time.Sleep(5 * time.Millisecond)
+		raw, err = os.ReadFile(path)
+	}
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,143 +1,66 @@
 // shard.go implements the sharded event kernel: a ShardedEngine splits the
 // event population across per-shard lanes (one Engine each) and runs them
-// under conservative-lookahead synchronization, with a deterministic
-// cross-shard mailbox as the only inter-lane channel.
+// as one simulation.
 //
-// Two execution modes cover the two things a parallel kernel must be:
+// Two primitives cover everything the model needs:
 //
-//   - Merged (the default): the composite pops the globally minimal
-//     (at, seq) event across all lane heads, with one shared sequence
-//     counter. Execution order — and therefore every byte of output — is
-//     identical to a single Engine regardless of how events are assigned
-//     to lanes, so shared-state models (the full NMP system) can adopt
-//     lane ownership incrementally without perturbing a single golden.
+//   - Merged execution (Step, Run, RunUntil, CatchUp): the composite pops
+//     the globally minimal (at, seq) event across all lane heads, with one
+//     shared sequence counter. Execution order — and therefore every byte
+//     of output — is identical to a single Engine regardless of how events
+//     are assigned to lanes, so shared-state models (the full NMP system)
+//     can adopt lane ownership without perturbing a single golden.
 //
-//   - Parallel: lanes process events concurrently inside conservative
-//     windows [floor, floor+lookahead), separated by barriers. Lanes must
-//     own disjoint model state, and every cross-lane effect must travel
-//     through Mail with a delay of at least the lookahead. For conforming
-//     models the results are invariant to the shard count — the property
-//     the differential tests pin.
-//
-// The lookahead comes from the model: for DIMM-Link, no effect can cross
-// DL groups faster than one link flit serialization plus one hop of
-// wire+router pipeline (host forwarding and CXL are far slower still), so
-// that is a safe conservative window — see LookaheadWindow and
-// core.CrossGroupLookahead.
+//   - Span: one bounded stretch in which every lane runs on its own clock
+//     and sequence counter, concurrently when the host allows, for phases
+//     the model has proven free of cross-lane interaction. CatchUp then
+//     rejoins the lanes at the span's global park time.
 package sim
 
-import (
-	"fmt"
-	"runtime"
-	"sort"
-	"sync"
-)
-
-// mailEntry is one cross-shard delivery: run fn on lane dst at time at.
-// tag is the model-supplied deterministic tie-break (see Mail).
-type mailEntry struct {
-	at  Time
-	tag uint64
-	dst int
-	fn  func()
-}
+import "fmt"
 
 // ShardedEngine drives a set of event lanes as one simulation.
 type ShardedEngine struct {
-	lanes     []*Engine
-	lookahead Time
+	lanes []*Engine
 
-	par bool // parallel mode; false = deterministic merge
-
-	// Merged-mode composite state: the global clock and the shared
-	// sequence counter that reproduces single-engine total order.
+	// The composite state: the global clock and the shared sequence
+	// counter that reproduces single-engine total order.
 	now   Time
 	seq   uint64
 	spans uint64 // Span invocations (phase-parallel stretches run)
-
-	// Parallel-mode window state.
-	horizon Time          // current admission horizon; Mail below it panics
-	inbox   []mailEntry   // undelivered cross-shard sends
-	outbox  [][]mailEntry // per-source-lane staging (lane-owned during a window)
-	deliver []mailEntry   // per-window delivery scratch
-	running bool          // inside a parallel window (lanes executing)
 }
 
-// NewShardedEngine creates an engine with the given number of lanes, in
-// deterministic-merge mode. lookahead bounds how soon a cross-shard effect
-// may land relative to the sending lane's clock; it must be positive (a
-// zero window would admit same-instant cross-lane events, which no
-// conservative schedule can order).
-func NewShardedEngine(lanes int, lookahead Time) *ShardedEngine {
+// NewShardedEngine creates an engine with the given number of lanes.
+func NewShardedEngine(lanes int) *ShardedEngine {
 	if lanes <= 0 {
 		panic(fmt.Sprintf("sim: sharded engine with %d lanes", lanes))
 	}
-	if lookahead == 0 {
-		panic("sim: sharded engine with zero lookahead")
-	}
-	o := &ShardedEngine{
-		lookahead: lookahead,
-		lanes:     make([]*Engine, lanes),
-		outbox:    make([][]mailEntry, lanes),
-	}
+	o := &ShardedEngine{lanes: make([]*Engine, lanes)}
 	for i := range o.lanes {
-		e := &Engine{owner: o, lane: i}
-		// Merged mode (the default): bind the composite clock and the
-		// shared sequence counter — see Engine.nowp.
-		e.nowp = &o.now
-		e.seqp = &o.seq
-		o.lanes[i] = e
+		// Bind the composite clock and the shared sequence counter — see
+		// Engine.nowp.
+		o.lanes[i] = &Engine{owner: o, lane: i, nowp: &o.now, seqp: &o.seq}
 	}
 	return o
 }
-
-// SetParallel switches between deterministic-merge (false, the default)
-// and parallel window execution (true). Must be called before any events
-// are scheduled: the two modes assign sequence numbers differently.
-func (o *ShardedEngine) SetParallel(par bool) {
-	for _, e := range o.lanes {
-		if len(e.events) > 0 || e.processed > 0 {
-			panic("sim: SetParallel after events were scheduled")
-		}
-	}
-	o.par = par
-	// Rebind the hot-path pointers: parallel lanes own their clock and
-	// sequence counter; merged lanes share the composite's.
-	for _, e := range o.lanes {
-		if par {
-			e.nowp = &e.now
-			e.seqp = &e.seq
-		} else {
-			e.nowp = &o.now
-			e.seqp = &o.seq
-		}
-	}
-}
-
-// Parallel reports whether the engine is in parallel window mode.
-func (o *ShardedEngine) Parallel() bool { return o.par }
 
 // Lanes returns the lane count.
 func (o *ShardedEngine) Lanes() int { return len(o.lanes) }
 
 // Lane returns lane i's engine handle. Model components are constructed
-// against their owning lane; in merged mode any handle drives (and
+// against their owning lane; outside a Span any handle drives (and
 // observes) the whole composite.
 func (o *ShardedEngine) Lane(i int) *Engine { return o.lanes[i] }
 
-// Lookahead returns the conservative synchronization window.
-func (o *ShardedEngine) Lookahead() Time { return o.lookahead }
-
-// Now returns the composite clock: the merged clock, or the last window
-// floor in parallel mode.
+// Now returns the composite clock.
 func (o *ShardedEngine) Now() Time { return o.now }
 
-// Processed returns the total events executed across all lanes.
 // Spans returns how many parallel Span stretches have run — a cheap
 // telltale that phase-parallel execution actually engaged (zero means
 // every phase classified serial).
 func (o *ShardedEngine) Spans() uint64 { return o.spans }
 
+// Processed returns the total events executed across all lanes.
 func (o *ShardedEngine) Processed() uint64 {
 	var total uint64
 	for _, e := range o.lanes {
@@ -146,96 +69,40 @@ func (o *ShardedEngine) Processed() uint64 {
 	return total
 }
 
-// Pending returns the scheduled events across all lanes plus undelivered
-// cross-shard mail.
+// Pending returns the scheduled events across all lanes.
 func (o *ShardedEngine) Pending() int {
-	total := len(o.inbox)
+	total := 0
 	for _, e := range o.lanes {
 		total += len(e.events)
 	}
 	return total
 }
 
-// MaxLaneNow returns the furthest lane clock — the simulation frontier
-// after a parallel run (in merged mode it equals Now).
-func (o *ShardedEngine) MaxLaneNow() Time {
-	t := o.now
-	for _, e := range o.lanes {
-		if e.now > t {
-			t = e.now
-		}
-	}
-	return t
-}
-
-// Step executes the single globally-earliest pending event (merged mode).
-// The scan over lane heads is O(lanes); with the handful of lanes a real
-// system shards into this is cheaper than maintaining a second heap.
-func (o *ShardedEngine) Step() bool {
-	if o.par {
-		panic("sim: Step on a parallel-mode sharded engine; use Run")
-	}
+// head returns the index of the lane holding the globally earliest event,
+// or -1 when every lane is empty. The scan over lane heads is O(lanes);
+// with the handful of lanes a real system shards into this is cheaper
+// than maintaining a second heap.
+func (o *ShardedEngine) head() int {
 	best := -1
 	for i, e := range o.lanes {
-		if len(e.events) == 0 {
-			continue
-		}
-		if best < 0 || e.events[0].before(&o.lanes[best].events[0]) {
+		if len(e.events) > 0 && (best < 0 || e.events[0].before(&o.lanes[best].events[0])) {
 			best = i
 		}
 	}
-	if best < 0 {
-		return false
-	}
-	e := o.lanes[best]
+	return best
+}
+
+// pop executes lane e's earliest event on the composite clock.
+func (o *ShardedEngine) pop(e *Engine) {
 	ev := e.events.pop()
 	o.now = ev.at
 	e.now = ev.at
 	e.processed++
 	ev.fn()
-	return true
 }
 
-// Run executes events until none remain: the merged pop loop, or the
-// parallel window loop.
-func (o *ShardedEngine) Run() {
-	if o.par {
-		for o.window(^Time(0)) {
-		}
-		return
-	}
-	for o.Step() {
-	}
-}
-
-// RunUntil executes events with timestamps <= t, then advances the
-// composite clock to exactly t.
-func (o *ShardedEngine) RunUntil(t Time) {
-	if o.par {
-		for o.window(t) {
-		}
-	} else {
-		for {
-			best := -1
-			for i, e := range o.lanes {
-				if len(e.events) == 0 || e.events[0].at > t {
-					continue
-				}
-				if best < 0 || e.events[0].before(&o.lanes[best].events[0]) {
-					best = i
-				}
-			}
-			if best < 0 {
-				break
-			}
-			e := o.lanes[best]
-			ev := e.events.pop()
-			o.now = ev.at
-			e.now = ev.at
-			e.processed++
-			ev.fn()
-		}
-	}
+// advance moves the composite and every lane clock forward to t.
+func (o *ShardedEngine) advance(t Time) {
 	if t > o.now {
 		o.now = t
 	}
@@ -246,146 +113,42 @@ func (o *ShardedEngine) RunUntil(t Time) {
 	}
 }
 
-// Mail schedules fn on lane dst at absolute time at, tagged for
-// deterministic ordering: deliveries are sorted by (at, tag, dst) before
-// entering the destination heap, so the execution order of cross-shard
-// events does not depend on which lane sent first in wall-clock time.
-// Models must derive the tag from simulation state (e.g. source shard and
-// a per-source ordinal) and keep (at, tag) unique so the order — and
-// therefore the result — is invariant to the shard count.
-//
-// In parallel mode the delivery time must honor the conservative window:
-// at must be at least the current horizon (sends from an executing event
-// at time t always satisfy this when the model's cross-shard latency is
-// >= the lookahead, since t < horizon and horizon - t <= lookahead).
-// Violations panic — they mean the configured lookahead overstates the
-// model's true minimum cross-shard latency, which would let a lane run
-// past an effect that should have reached it.
-func (e *Engine) Mail(dst int, at Time, tag uint64, fn func()) {
-	o := e.owner
-	if o == nil {
-		panic("sim: Mail on an engine that is not a sharded lane")
-	}
-	if dst < 0 || dst >= len(o.lanes) {
-		panic(fmt.Sprintf("sim: Mail to lane %d of %d", dst, len(o.lanes)))
-	}
-	if o.par {
-		if at < o.horizon {
-			panic(fmt.Sprintf("sim: cross-shard mail at %d below the lookahead horizon %d", at, o.horizon))
-		}
-		o.outbox[e.lane] = append(o.outbox[e.lane], mailEntry{at: at, tag: tag, dst: dst, fn: fn})
-		return
-	}
-	// Merged mode: the composite serializes everything anyway; deliver
-	// directly with the global sequence counter.
-	o.lanes[dst].At(at, fn)
-}
-
-// window runs one conservative window: pick the global floor, deliver the
-// mail that has come due, let every lane process its events below the
-// horizon, then collect the new outbound mail. Returns false when nothing
-// is left at or below limit.
-func (o *ShardedEngine) window(limit Time) bool {
-	const inf = ^Time(0)
-	floor := inf
-	for _, e := range o.lanes {
-		if len(e.events) > 0 && e.events[0].at < floor {
-			floor = e.events[0].at
-		}
-	}
-	for i := range o.inbox {
-		if o.inbox[i].at < floor {
-			floor = o.inbox[i].at
-		}
-	}
-	if floor == inf || floor > limit {
+// Step executes the single globally-earliest pending event.
+func (o *ShardedEngine) Step() bool {
+	best := o.head()
+	if best < 0 {
 		return false
 	}
-	horizon := floor + o.lookahead
-	if horizon < floor { // saturate on overflow
-		horizon = inf
-	}
-	if limit != inf && horizon > limit+1 {
-		horizon = limit + 1 // RunUntil: never admit events beyond limit
-	}
-	o.horizon = horizon
-
-	// Deliver due mail in (at, tag, dst) order. The destination assigns
-	// lane-local sequence numbers in this sorted order, so ties against
-	// later same-instant events resolve identically for every shard count.
-	// Mail sent during window W has at >= horizon(W) (enforced by Mail)
-	// and horizons are strictly increasing, so each entry is delivered at
-	// the start of exactly the window that will execute it — a
-	// shard-count-invariant delivery point.
-	if len(o.inbox) > 0 {
-		due := o.deliver[:0]
-		rest := o.inbox[:0]
-		for _, m := range o.inbox {
-			if m.at < horizon {
-				due = append(due, m)
-			} else {
-				rest = append(rest, m)
-			}
-		}
-		o.inbox = rest
-		if len(due) > 0 {
-			sort.Slice(due, func(i, j int) bool {
-				if due[i].at != due[j].at {
-					return due[i].at < due[j].at
-				}
-				if due[i].tag != due[j].tag {
-					return due[i].tag < due[j].tag
-				}
-				return due[i].dst < due[j].dst
-			})
-			for _, m := range due {
-				o.lanes[m.dst].push(m.at, m.fn)
-			}
-		}
-		o.deliver = due[:0]
-	}
-
-	// Execute the window on every lane. With one processor (or one lane)
-	// the lanes run sequentially in index order — the per-lane schedules
-	// are independent, so this is result-identical to the concurrent
-	// execution while keeping the cache-resident small-heap benefit.
-	o.running = true
-	if len(o.lanes) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		for _, e := range o.lanes {
-			e.runWindow(horizon)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for _, e := range o.lanes {
-			if len(e.events) == 0 || e.events[0].at >= horizon {
-				continue
-			}
-			wg.Add(1)
-			go func(e *Engine) {
-				defer wg.Done()
-				e.runWindow(horizon)
-			}(e)
-		}
-		wg.Wait()
-	}
-	o.running = false
-
-	// Barrier: collect the mail lanes staged during the window.
-	for l := range o.outbox {
-		o.inbox = append(o.inbox, o.outbox[l]...)
-		o.outbox[l] = o.outbox[l][:0]
-	}
-	o.now = floor
+	o.pop(o.lanes[best])
 	return true
+}
+
+// Run executes events until none remain.
+func (o *ShardedEngine) Run() {
+	for o.Step() {
+	}
+}
+
+// RunUntil executes events with timestamps <= t, then advances the
+// composite clock to exactly t.
+func (o *ShardedEngine) RunUntil(t Time) {
+	for {
+		best := o.head()
+		if best < 0 || o.lanes[best].events[0].at > t {
+			break
+		}
+		o.pop(o.lanes[best])
+	}
+	o.advance(t)
 }
 
 // Span temporarily detaches every lane from the merged composite and runs
 // run(lane, engine) for each lane — concurrently when the host has more
-// than one processor — then reattaches them. It is the execution primitive
-// behind phase-parallel model runs (cores.Group.RunParallel): unlike
-// SetParallel, which commits the whole run to window mode before any event
-// exists, Span parallelizes one bounded stretch in the middle of a merged
-// run, for phases the model has proven free of cross-lane interaction.
+// than one processor (see Fan) — then reattaches them. It is the execution
+// primitive behind phase-parallel model runs (cores.Group.RunParallel): it
+// parallelizes one bounded stretch in the middle of a merged run, for
+// phases the model has proven free of cross-lane interaction. A panic in
+// a lane reaches the caller as a *FanPanic.
 //
 // Inside the span each lane owns its clock (seeded from the composite) and
 // its sequence counter (every lane seeded from the same composite base, so
@@ -396,13 +159,7 @@ func (o *ShardedEngine) window(limit Time) bool {
 // or read, other lanes. After the span the composite sequence counter jumps
 // to the furthest lane counter, so later merged events order after every
 // span event.
-//
-// Span panics on a parallel-mode (SetParallel) engine: window mode already
-// runs lanes concurrently and the two schemes must not nest.
 func (o *ShardedEngine) Span(run func(lane int, e *Engine)) {
-	if o.par {
-		panic("sim: Span on a parallel-mode sharded engine")
-	}
 	o.spans++
 	base := o.seq
 	for _, e := range o.lanes {
@@ -411,23 +168,7 @@ func (o *ShardedEngine) Span(run func(lane int, e *Engine)) {
 		e.nowp = &e.now
 		e.seqp = &e.seq
 	}
-	if len(o.lanes) == 1 || runtime.GOMAXPROCS(0) == 1 {
-		// Lane schedules inside a span are independent by contract, so
-		// sequential execution in lane order is result-identical.
-		for i, e := range o.lanes {
-			run(i, e)
-		}
-	} else {
-		var wg sync.WaitGroup
-		for i, e := range o.lanes {
-			wg.Add(1)
-			go func(i int, e *Engine) {
-				defer wg.Done()
-				run(i, e)
-			}(i, e)
-		}
-		wg.Wait()
-	}
+	Fan(len(o.lanes), func(i int) { run(i, o.lanes[i]) })
 	maxSeq := base
 	for _, e := range o.lanes {
 		if e.seq > maxSeq {
@@ -448,64 +189,12 @@ func (o *ShardedEngine) Span(run func(lane int, e *Engine)) {
 // Strictly before: events at t itself belong to the resumed merged run,
 // after the model's rendezvous bookkeeping at t.
 func (o *ShardedEngine) CatchUp(t Time) {
-	if o.par {
-		panic("sim: CatchUp on a parallel-mode sharded engine")
-	}
 	for {
-		best := -1
-		for i, e := range o.lanes {
-			if len(e.events) == 0 || e.events[0].at >= t {
-				continue
-			}
-			if best < 0 || e.events[0].before(&o.lanes[best].events[0]) {
-				best = i
-			}
-		}
-		if best < 0 {
+		best := o.head()
+		if best < 0 || o.lanes[best].events[0].at >= t {
 			break
 		}
-		e := o.lanes[best]
-		ev := e.events.pop()
-		o.now = ev.at
-		e.now = ev.at
-		e.processed++
-		ev.fn()
+		o.pop(o.lanes[best])
 	}
-	if t > o.now {
-		o.now = t
-	}
-	for _, e := range o.lanes {
-		if t > e.now {
-			e.now = t
-		}
-	}
-}
-
-// runWindow drains this lane's events strictly below the horizon.
-func (e *Engine) runWindow(horizon Time) {
-	for len(e.events) > 0 && e.events[0].at < horizon {
-		e.stepLocal()
-	}
-}
-
-// LookaheadWindow derives the conservative synchronization window from the
-// minimum cross-shard latency components: the serialization of one flit on
-// the slowest element of the path (serdes) plus one hop of fixed pipeline
-// latency (hop). The window is clamped to at least one picosecond — a
-// conservative schedule needs a strictly positive horizon — and saturates
-// rather than wraps. shards is accepted for signature stability (the
-// window is a property of the physical path, not of how many shards
-// observe it) and validated to be positive.
-func LookaheadWindow(serdes, hop Time, shards int) Time {
-	if shards <= 0 {
-		panic(fmt.Sprintf("sim: lookahead window for %d shards", shards))
-	}
-	w := serdes + hop
-	if w < serdes { // saturate on overflow
-		w = ^Time(0)
-	}
-	if w == 0 {
-		w = 1
-	}
-	return w
+	o.advance(t)
 }

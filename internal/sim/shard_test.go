@@ -1,7 +1,10 @@
 package sim
 
 import (
+	"errors"
+	"fmt"
 	"runtime"
+	"strings"
 	"testing"
 )
 
@@ -15,7 +18,7 @@ func TestShardedMergedPopOrderMatchesReference(t *testing.T) {
 	for _, lanes := range []int{1, 2, 3, 4, 8} {
 		rng := lcg(42)
 		ref := NewEngine()
-		sh := NewShardedEngine(lanes, 1)
+		sh := NewShardedEngine(lanes)
 
 		var refLog, shLog []int
 		for i := 0; i < 2000; i++ {
@@ -43,9 +46,9 @@ func TestShardedMergedPopOrderMatchesReference(t *testing.T) {
 
 // TestShardedMergedDynamicMatchesReference extends the property test to a
 // dynamic workload: callbacks schedule follow-up events (on other lanes,
-// at the current instant and later) and send merged-mode Mail, so the
-// shared sequence counter is exercised mid-execution, not just during
-// setup. The reference engine runs the identical program.
+// at the current instant and later, relative and absolute), so the shared
+// sequence counter is exercised mid-execution, not just during setup. The
+// reference engine runs the identical program.
 func TestShardedMergedDynamicMatchesReference(t *testing.T) {
 	const lanes = 4
 	run := func(schedule func(at Time, fn func()), laneSchedule func(lane int, at Time, fn func())) []uint64 {
@@ -81,17 +84,17 @@ func TestShardedMergedDynamicMatchesReference(t *testing.T) {
 	ref.Run()
 	refLog = append([]uint64(nil), refLog...)
 
-	sh := NewShardedEngine(lanes, 1)
+	sh := NewShardedEngine(lanes)
 	shLog := run(
 		func(at Time, fn func()) { sh.Lane(0).At(at, fn) },
 		func(lane int, d Time, fn func()) {
-			// Half the follow-ups ride the merged-mode mailbox, which must
-			// serialize identically to a direct schedule.
+			// Half the follow-ups are absolute, anchored at the lane
+			// handle's view of the composite clock.
 			l := sh.Lane(lane)
 			if d%2 == 0 {
 				l.After(d, fn)
 			} else {
-				l.Mail(lane, l.Now()+d, 0, fn)
+				l.At(l.Now()+d, fn)
 			}
 		},
 	)
@@ -118,7 +121,7 @@ func TestShardedMergedDynamicMatchesReference(t *testing.T) {
 // Step on a lane pops the global minimum, and RunUntil semantics match
 // the standalone engine's boundary behavior.
 func TestShardedMergedLaneDelegation(t *testing.T) {
-	sh := NewShardedEngine(3, 1)
+	sh := NewShardedEngine(3)
 	var ran []Time
 	sh.Lane(0).At(50, func() { ran = append(ran, 50) })
 	sh.Lane(2).At(100, func() { ran = append(ran, 100) })
@@ -161,172 +164,175 @@ func TestShardedMergedLaneDelegation(t *testing.T) {
 	}
 }
 
-// shardBenchSmall is the test-sized ShardBench config: big enough that
-// windows interleave mail with local events, small enough for -race runs.
-func shardBenchSmall() ShardBenchConfig {
-	return ShardBenchConfig{
-		Groups:     16,
-		PerGroup:   32,
-		Events:     40_000,
-		MaxDelay:   512,
-		Lookahead:  128,
-		CrossEvery: 8,
-		Seed:       0xD1D1,
+// TestShardedGuards pins the constructor guard.
+func TestShardedGuards(t *testing.T) {
+	for _, lanes := range []int{0, -1} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("NewShardedEngine(%d) did not panic", lanes)
+				}
+			}()
+			NewShardedEngine(lanes)
+		}()
 	}
 }
 
-// TestShardedBenchDigestInvariance is the parallel-mode differential: the
-// synthetic sharded model must produce an identical digest, event count
-// and simulated span at every lane count. The digest folds per-group
-// execution order, so any ordering divergence — a mis-delivered mail, a
-// lane running past the horizon — flips it.
-func TestShardedBenchDigestInvariance(t *testing.T) {
-	cfg := shardBenchSmall()
-	base := RunShardBench(1, cfg)
-	if base.Events == 0 || base.Digest == 0 {
-		t.Fatalf("degenerate baseline: %+v", base)
-	}
-	for _, lanes := range []int{2, 3, 4, 8} {
-		got := RunShardBench(lanes, cfg)
-		if got != base {
-			t.Fatalf("lanes=%d: %+v, want %+v", lanes, got, base)
+// spanRun is the outcome of runSpanWorkload.
+type spanRun struct {
+	logs      [][]uint64 // per-lane (actor, time) log of the span events
+	joined    []uint64   // the merged order of the events left for the join
+	processed uint64
+	now       Time
+}
+
+// runSpanWorkload runs a lane-local workload through Span at the given
+// GOMAXPROCS. Each lane drives a few self-rescheduling actors (zero delays
+// included, so same-instant ties are common) until they finish. Every
+// actor leaves one event at its lane's own finish time and one at a
+// shared join instant, so the join has a catch-up stretch on slower lanes
+// and a cross-lane tie at one instant to order.
+func runSpanWorkload(procs int) spanRun {
+	prev := runtime.GOMAXPROCS(procs)
+	defer runtime.GOMAXPROCS(prev)
+
+	const lanes, actors, steps = 4, 6, 40
+	sh := NewShardedEngine(lanes)
+	sh.Lane(0).At(100, func() {})
+	sh.Run()
+	const join = Time(1 << 20)
+	r := spanRun{logs: make([][]uint64, lanes)}
+	spanning := true
+	sh.Span(func(lane int, e *Engine) {
+		record := func(id uint64) {
+			v := id<<32 | uint64(e.Now())
+			if spanning {
+				r.logs[lane] = append(r.logs[lane], v)
+			} else {
+				r.joined = append(r.joined, v)
+			}
+		}
+		rng := lcg(lane + 1)
+		active := actors
+		for a := 0; a < actors; a++ {
+			id := uint64(lane*actors + a)
+			left := steps + int(rng.next()%steps)
+			var act func()
+			act = func() {
+				record(id)
+				if left--; left > 0 {
+					e.After(rng.next()%8, act)
+					return
+				}
+				active--
+				e.After(rng.next()%4, func() { record(id) })
+				e.At(join, func() { record(id) })
+			}
+			e.After(rng.next()%8, act)
+		}
+		for active > 0 {
+			if !e.StepLocal() {
+				panic("lane ran dry mid-span")
+			}
+		}
+	})
+	spanning = false
+	var park Time
+	for l := 0; l < lanes; l++ {
+		if now := sh.Lane(l).now; now > park {
+			park = now
 		}
 	}
+	sh.CatchUp(park)
+	sh.Run()
+	r.processed, r.now = sh.Processed(), sh.Now()
+	return r
 }
 
-// TestShardedKernelRace drives the parallel window loop with real
-// concurrency: GOMAXPROCS is forced above one so windows execute lanes on
-// separate goroutines, and the digest is checked against the sequential
-// single-lane run. Under -race this is the data-race probe for the whole
-// window/mailbox machinery (ci.sh runs it via `go test -race -run Sharded`).
-func TestShardedKernelRace(t *testing.T) {
+// TestShardedSpanMatchesInline is the Span differential: one lane-local
+// workload run with real concurrency (GOMAXPROCS 4) and inline (1) must
+// give identical per-lane logs, identical event counts, and the same
+// merged order for the events left to the join, including the cross-lane
+// tie at one instant.
+func TestShardedSpanMatchesInline(t *testing.T) {
+	par, inline := runSpanWorkload(4), runSpanWorkload(1)
+	for l := range inline.logs {
+		if len(inline.logs[l]) == 0 {
+			t.Fatalf("lane %d ran no span events", l)
+		}
+		if fmt.Sprint(par.logs[l]) != fmt.Sprint(inline.logs[l]) {
+			t.Fatalf("lane %d: span log diverges between GOMAXPROCS 4 and 1", l)
+		}
+	}
+	if fmt.Sprint(par.joined) != fmt.Sprint(inline.joined) {
+		t.Fatalf("join order diverges:\n%x\n%x", par.joined, inline.joined)
+	}
+	if n := len(inline.joined); n < 4*6 || n > 2*4*6 {
+		t.Fatalf("join ran %d events, want the %d at the join instant plus the unfinished stragglers", n, 4*6)
+	}
+	if par.processed != inline.processed || par.now != inline.now {
+		t.Fatalf("processed/clock %d/%d, inline %d/%d", par.processed, par.now, inline.processed, inline.now)
+	}
+}
+
+// TestShardedSpanPanicReachesCaller runs a Span whose lane panics with
+// lanes on real goroutines: the caller must be able to recover the panic,
+// with the lane index, the original value and the lane's stack, instead
+// of the process dying on the lane goroutine.
+func TestShardedSpanPanicReachesCaller(t *testing.T) {
 	prev := runtime.GOMAXPROCS(4)
 	defer runtime.GOMAXPROCS(prev)
 
-	cfg := shardBenchSmall()
-	base := RunShardBench(1, cfg)
-	for _, lanes := range []int{4, 8} {
-		got := RunShardBench(lanes, cfg)
-		if got != base {
-			t.Fatalf("lanes=%d under concurrency: %+v, want %+v", lanes, got, base)
-		}
-	}
-}
-
-// TestShardedMailBelowHorizonPanics pins the conservative-window guard: a
-// cross-shard send that would land inside the current window means the
-// configured lookahead overstates the model's true minimum cross-shard
-// latency, and must fail loudly rather than silently mis-order.
-func TestShardedMailBelowHorizonPanics(t *testing.T) {
-	sh := NewShardedEngine(2, 100)
-	sh.SetParallel(true)
-	sh.Lane(0).At(10, func() {
-		// horizon = floor(10) + lookahead(100) = 110; 50 is inside the
-		// window and must be rejected.
-		sh.Lane(0).Mail(1, 50, 0, func() {})
-	})
+	errLane := errors.New("lane 2 failed")
+	sh := NewShardedEngine(4)
 	defer func() {
-		if recover() == nil {
-			t.Fatal("Mail below the horizon did not panic")
+		p, ok := recover().(*FanPanic)
+		if !ok {
+			t.Fatal("Span did not re-raise the lane panic as a *FanPanic")
+		}
+		if p.Index != 2 || p.Value != errLane {
+			t.Fatalf("got index %d value %v, want lane 2's value", p.Index, p.Value)
+		}
+		if !strings.Contains(string(p.Stack), "TestShardedSpanPanicReachesCaller") {
+			t.Fatalf("stack does not show the panicking lane body:\n%s", p.Stack)
 		}
 	}()
-	sh.Run()
+	sh.Span(func(lane int, e *Engine) {
+		if lane == 2 {
+			panic(errLane)
+		}
+	})
+	t.Fatal("Span returned after a lane panicked")
 }
 
-// TestShardedGuards pins the remaining constructor/mode guards.
-func TestShardedGuards(t *testing.T) {
-	mustPanic := func(name string, f func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Fatalf("%s did not panic", name)
+// TestShardedFan pins the fan-out helper at both execution paths: every
+// index runs exactly once, and when several calls panic the caller sees
+// the lowest-index one.
+func TestShardedFan(t *testing.T) {
+	for _, procs := range []int{1, 4} {
+		prev := runtime.GOMAXPROCS(procs)
+		ran := make([]int, 8)
+		Fan(len(ran), func(i int) { ran[i]++ })
+		for i, n := range ran {
+			if n != 1 {
+				t.Fatalf("GOMAXPROCS=%d: index %d ran %d times", procs, i, n)
 			}
-		}()
-		f()
-	}
-	mustPanic("zero lanes", func() { NewShardedEngine(0, 1) })
-	mustPanic("zero lookahead", func() { NewShardedEngine(2, 0) })
-	mustPanic("Mail on standalone engine", func() { NewEngine().Mail(0, 0, 0, func() {}) })
-	mustPanic("Mail to bad lane", func() {
-		sh := NewShardedEngine(2, 1)
-		sh.Lane(0).Mail(5, 0, 0, func() {})
-	})
-	mustPanic("SetParallel after scheduling", func() {
-		sh := NewShardedEngine(2, 1)
-		sh.Lane(0).At(1, func() {})
-		sh.SetParallel(true)
-	})
-	mustPanic("Step in parallel mode", func() {
-		sh := NewShardedEngine(2, 1)
-		sh.SetParallel(true)
-		sh.Step()
-	})
-	mustPanic("LookaheadWindow zero shards", func() { LookaheadWindow(1, 1, 0) })
-}
+		}
+		Fan(0, func(int) { t.Fatal("Fan(0) made a call") })
 
-// TestLookaheadWindow pins the derivation: component sum, the 1 ps floor,
-// and overflow saturation.
-func TestLookaheadWindow(t *testing.T) {
-	if w := LookaheadWindow(300, 700, 4); w != 1000 {
-		t.Fatalf("window = %d, want 1000", w)
-	}
-	if w := LookaheadWindow(0, 0, 1); w != 1 {
-		t.Fatalf("zero components: window = %d, want 1", w)
-	}
-	if w := LookaheadWindow(^Time(0), 5, 2); w != ^Time(0) {
-		t.Fatalf("overflow: window = %d, want saturation", w)
-	}
-}
-
-// FuzzLookaheadWindow fuzzes the window derivation and the admission
-// invariant together: for any (serdes, hop, shards), the window must be
-// strictly positive, and a model whose cross-shard sends use exactly the
-// minimum legal latency (the lookahead itself) must never trip the
-// horizon guard — i.e. the window never admits a cross-shard event
-// earlier than the horizon it was computed against.
-func FuzzLookaheadWindow(f *testing.F) {
-	f.Add(uint64(300), uint64(700), 4)
-	f.Add(uint64(0), uint64(0), 1)
-	f.Add(uint64(1)<<63, uint64(1)<<63, 2)
-	f.Add(uint64(12_800), uint64(10_000), 8)
-	f.Fuzz(func(t *testing.T, serdes, hop uint64, shards int) {
-		if shards <= 0 || shards > 64 {
-			t.Skip()
-		}
-		w := LookaheadWindow(serdes, hop, shards)
-		if w == 0 {
-			t.Fatalf("LookaheadWindow(%d, %d, %d) = 0", serdes, hop, shards)
-		}
-		if w < serdes && w != ^Time(0) {
-			t.Fatalf("LookaheadWindow(%d, %d, %d) = %d lost a component without saturating",
-				serdes, hop, shards, w)
-		}
-		if w > ^Time(0)-1<<20 {
-			return // near-saturated windows cannot schedule past the horizon
-		}
-
-		// Minimum-legal-latency model: every event mails the other lane at
-		// exactly now+w. If the horizon ever exceeded sender-time+w this
-		// would panic; if a lane ran past a pending delivery the ping-pong
-		// chain would break and the count would come up short.
-		sh := NewShardedEngine(2, w)
-		sh.SetParallel(true)
-		const hops = 16
-		var delivered int
-		var hop2 func(lane int, at Time, n int)
-		hop2 = func(lane int, at Time, n int) {
-			delivered++
-			if n >= hops {
-				return
-			}
-			sh.Lane(lane).Mail(1-lane, at+w, uint64(n), func() {
-				hop2(1-lane, at+w, n+1)
+		func() {
+			defer func() {
+				p, ok := recover().(*FanPanic)
+				if !ok || p.Index != 1 || p.Value != "boom 1" {
+					t.Fatalf("GOMAXPROCS=%d: recovered %#v, want index 1's panic", procs, p)
+				}
+			}()
+			Fan(4, func(i int) {
+				if i%2 == 1 {
+					panic(fmt.Sprintf("boom %d", i))
+				}
 			})
-		}
-		sh.Lane(0).At(1, func() { hop2(0, 1, 0) })
-		sh.Run()
-		if delivered != hops+1 {
-			t.Fatalf("w=%d: ping-pong delivered %d/%d events", w, delivered, hops+1)
-		}
-	})
+		}()
+		runtime.GOMAXPROCS(prev)
+	}
 }

@@ -155,12 +155,12 @@ type Engine struct {
 	lane  int            // this lane's index within owner
 
 	// nowp and seqp are the engine's clock and sequence-counter bindings,
-	// resolved once at construction so the per-event hot path (Now, push,
-	// After) is branch-free: a standalone engine and a parallel-mode lane
-	// bind their own fields; a merged-mode lane binds the composite's
-	// (lane-local clocks are only advanced by the popping lane, so an
-	// idle merged lane would otherwise report a stale time — and the
-	// shared counter is what reproduces single-engine total order).
+	// resolved up front so the per-event hot path (Now, At, After) is
+	// branch-free: a standalone engine and a lane inside a Span bind their
+	// own fields; a merged lane binds the composite's (lane-local clocks
+	// are only advanced by the popping lane, so an idle merged lane would
+	// otherwise report a stale time — and the shared counter is what
+	// reproduces single-engine total order).
 	nowp *Time
 	seqp *uint64
 }
@@ -174,7 +174,7 @@ func NewEngine() *Engine {
 }
 
 // Now returns the current simulated time: the composite clock on a
-// merged-mode lane, the engine's own clock otherwise.
+// merged lane, the engine's own clock otherwise.
 func (e *Engine) Now() Time { return *e.nowp }
 
 // Processed returns the number of events executed so far (across all lanes
@@ -187,8 +187,7 @@ func (e *Engine) Processed() uint64 {
 }
 
 // Pending returns the number of events currently scheduled (across all
-// lanes plus undelivered cross-shard mail for a sharded engine's lane
-// handle).
+// lanes for a sharded engine's lane handle).
 func (e *Engine) Pending() int {
 	if o := e.owner; o != nil {
 		return o.Pending()
@@ -196,20 +195,11 @@ func (e *Engine) Pending() int {
 	return len(e.events)
 }
 
-// push assigns the next sequence number and enqueues the event. Merged-mode
-// lanes share the owner's global counter (via seqp) — that is what makes
-// the composite pop order identical to a single engine's; parallel-mode
-// lanes use their own (each lane is its own deterministic sub-simulation
-// between barriers).
-func (e *Engine) push(at Time, fn func()) {
-	*e.seqp++
-	e.events.push(event{at: at, seq: *e.seqp, fn: fn})
-}
-
 // At schedules fn to run at absolute time t. Scheduling in the past panics:
-// it always indicates a timing-model bug. The sequence bump is open-coded
-// (not a push call) to stay within the inlining budget — this is the
-// per-event hot path.
+// it always indicates a timing-model bug. Merged lanes share the owner's
+// sequence counter (via seqp) — that is what makes the composite pop order
+// identical to a single engine's; lanes inside a Span use their own (each
+// lane is its own deterministic sub-simulation until the join).
 func (e *Engine) At(t Time, fn func()) {
 	if now := *e.nowp; t < now {
 		panic(fmt.Sprintf("sim: scheduling event at %d before now %d", t, now))
@@ -244,7 +234,7 @@ func (e *Engine) Step() bool {
 func (e *Engine) StepLocal() bool { return e.stepLocal() }
 
 // stepLocal pops and executes this engine's own earliest event — the
-// standalone Step, and the per-lane inner loop of a parallel window.
+// standalone Step, and the per-lane inner loop of a Span.
 func (e *Engine) stepLocal() bool {
 	if len(e.events) == 0 {
 		return false
@@ -287,16 +277,6 @@ func (e *Engine) RunFor(d Time) { e.RunUntil(e.Now() + d) }
 // LaneIndex returns this engine's lane index within its ShardedEngine, or
 // 0 for a standalone engine.
 func (e *Engine) LaneIndex() int { return e.lane }
-
-// LaneNow returns this lane's local clock — in parallel mode the lane's
-// own frontier rather than the composite clock. Standalone engines and
-// merged-mode lanes report the same value as Now.
-func (e *Engine) LaneNow() Time {
-	if o := e.owner; o != nil && o.par {
-		return e.now
-	}
-	return e.Now()
-}
 
 // BusyLine models a resource that serves requests one at a time in FIFO
 // order: a DRAM data bus, a SerDes lane, the host memory channel during

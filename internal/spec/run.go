@@ -45,6 +45,19 @@ type SimHooks struct {
 	Parallel bool
 }
 
+// ParallelHooks maps the one execution-policy knob of the CLIs, exp-kind
+// runs and dlserve, -parallel N, onto the kernel settings: N <= 1 keeps
+// the single-queue engine; N > 1 builds N event lanes and runs
+// lane-confined phases concurrently. Shards without Parallel (merged
+// mode) stays reachable only through SimHooks directly, as the
+// byte-identity oracle that parallel runs are checked against.
+func ParallelHooks(n int) SimHooks {
+	if n <= 1 {
+		return SimHooks{}
+	}
+	return SimHooks{Shards: n, Parallel: true}
+}
+
 // SimRun bundles one completed simulation.
 type SimRun struct {
 	Spec     Spec // normalized
@@ -206,11 +219,10 @@ type ExpResult struct {
 
 // ExpHooks is SimHooks' experiment-side counterpart: the execution-policy
 // knobs layered onto an exp-kind run. Neither field changes a rendered
-// byte — Jobs picks the grid pool width, Shards the event kernel.
+// byte — Jobs picks the grid pool width, Parallel the event kernel.
 type ExpHooks struct {
-	Jobs     int  // worker-pool width per experiment grid (0 = GOMAXPROCS)
-	Shards   int  // sharded event kernel lanes per system (0/1 = single queue)
-	Parallel bool // phase-parallel kernel execution (requires Shards > 1)
+	Jobs     int // worker-pool width per experiment grid (0 = GOMAXPROCS)
+	Parallel int // -parallel N for every system (see ParallelHooks)
 }
 
 // RunExp executes an exp-kind spec's targets in registry order. Progress
@@ -230,7 +242,6 @@ func (s Spec) RunExp(ctx context.Context, h ExpHooks, progress func(done, total 
 	if err != nil {
 		return nil, err
 	}
-	o.Shards = h.Shards
 	o.Parallel = h.Parallel
 	results := make([]ExpResult, 0, len(targets))
 	for _, e := range targets {

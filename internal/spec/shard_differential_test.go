@@ -47,7 +47,7 @@ func report(t *testing.T, sp Spec, shards int) ([]byte, []byte) {
 }
 
 // TestShardedReportByteIdentity is the harness: for every table entry,
-// the report at -shards 1/2/4/8 must be byte-identical to the plain
+// the report at Shards 1/2/4/8 must be byte-identical to the plain
 // single-engine run (shards=0). -short keeps two representative specs
 // and two shard counts.
 func TestShardedReportByteIdentity(t *testing.T) {
@@ -82,26 +82,39 @@ func TestShardedReportByteIdentity(t *testing.T) {
 	}
 }
 
-// reportParallel runs the spec at the given shard count with
-// phase-parallel execution on and returns the rendered bodies.
-func reportParallel(t *testing.T, sp Spec, shards int) ([]byte, []byte) {
+// reportParallel runs the spec under -parallel n and returns the
+// rendered bodies.
+func reportParallel(t *testing.T, sp Spec, n int) ([]byte, []byte) {
 	t.Helper()
-	run, err := sp.RunSim(SimHooks{Shards: shards, Parallel: true})
+	run, err := sp.RunSim(ParallelHooks(n))
 	if err != nil {
-		t.Fatalf("shards=%d parallel: %v", shards, err)
+		t.Fatalf("parallel=%d: %v", n, err)
 	}
 	var text bytes.Buffer
 	run.Report(&text)
 	js, err := run.JSON()
 	if err != nil {
-		t.Fatalf("shards=%d parallel: JSON: %v", shards, err)
+		t.Fatalf("parallel=%d: JSON: %v", n, err)
 	}
 	return text.Bytes(), js
 }
 
+// TestParallelHooks pins the -parallel N mapping: N <= 1 is the plain
+// single-queue engine, N > 1 is N lanes in parallel mode.
+func TestParallelHooks(t *testing.T) {
+	for _, n := range []int{-1, 0, 1} {
+		if h := ParallelHooks(n); h != (SimHooks{}) {
+			t.Fatalf("ParallelHooks(%d) = %+v, want the single-queue engine", n, h)
+		}
+	}
+	if h := ParallelHooks(4); h != (SimHooks{Shards: 4, Parallel: true}) {
+		t.Fatalf("ParallelHooks(4) = %+v, want 4 lanes in parallel mode", h)
+	}
+}
+
 // TestParallelModelByteIdentity is the full-model parallel differential
-// harness: every captured workload class runs with SetParallel(true) at
-// shards 2/4/8, and the rendered report and JSON body must be
+// harness: every captured workload class runs at -parallel 2/4/8, and
+// the rendered report and JSON body must be
 // byte-identical to the plain single-engine run. Run it under -race with
 // GOMAXPROCS >= 4 (the ci.sh leg does) so lane goroutines genuinely
 // interleave. -short keeps two representative specs and one shard count.
@@ -126,11 +139,11 @@ func TestParallelModelByteIdentity(t *testing.T) {
 			for _, n := range counts {
 				gotText, gotJSON := reportParallel(t, sp, n)
 				if !bytes.Equal(gotText, wantText) {
-					t.Fatalf("shards=%d parallel: report diverges from single-queue run\n--- shards=0\n%s--- shards=%d parallel\n%s",
+					t.Fatalf("parallel=%d: report diverges from single-queue run\n--- parallel=0\n%s--- parallel=%d\n%s",
 						n, wantText, n, gotText)
 				}
 				if !bytes.Equal(gotJSON, wantJSON) {
-					t.Fatalf("shards=%d parallel: JSON body diverges from single-queue run", n)
+					t.Fatalf("parallel=%d: JSON body diverges from single-queue run", n)
 				}
 			}
 		})
