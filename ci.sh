@@ -62,7 +62,8 @@ if [ "${1:-}" != "quick" ]; then
 		./internal/spec/ ./internal/exp/
 
 	echo "== parallel-model differential harness (-parallel at shards 2/4/8, byte-identity under -race)"
-	GOMAXPROCS=4 go test -race -run 'ParallelModelByteIdentity|ParallelRejectsSampling' \
+	echo "   + golden digests of every workload x mechanism, serial and -parallel 4"
+	GOMAXPROCS=4 go test -race -run 'ParallelModelByteIdentity|ParallelRejectsSampling|GoldenSimDigests' \
 		./internal/spec/
 
 	echo "== dlbench allreduce smoke (collective layer: all mechanisms + DL topologies)"

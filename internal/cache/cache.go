@@ -50,17 +50,24 @@ type Stats struct {
 	WriteBacks uint64
 }
 
+// way is one line slot: the line's tag, with dirtyBit set while the line
+// is dirty, and the LRU timestamp of its last use, which is 0 exactly when
+// the slot is invalid (ticks start at 1). Caches are most of a small
+// system's memory, so a line takes two words.
 type way struct {
-	tag   uint64
-	valid bool
-	dirty bool
-	used  uint64 // LRU timestamp
+	tag  uint64
+	used uint64
 }
+
+// dirtyBit marks a dirty line in way.tag. Tags are line numbers (address
+// over line size) shifted right by the set bits, far below it for any
+// simulated address space.
+const dirtyBit = 1 << 63
 
 // Cache is a single set-associative write-back, write-allocate cache.
 type Cache struct {
 	cfg   Config
-	sets  [][]way
+	ways  []way  // set s is ways[s*Ways : (s+1)*Ways]; nil until first Access
 	setMx uint64 // set index mask
 	tick  uint64
 	Stats Stats
@@ -73,12 +80,13 @@ func New(cfg Config) *Cache {
 		panic(err)
 	}
 	nsets := cfg.SizeBytes / cfg.LineBytes / uint64(cfg.Ways)
-	sets := make([][]way, nsets)
-	backing := make([]way, nsets*uint64(cfg.Ways))
-	for i := range sets {
-		sets[i] = backing[uint64(i)*uint64(cfg.Ways) : (uint64(i)+1)*uint64(cfg.Ways)]
-	}
-	return &Cache{cfg: cfg, sets: sets, setMx: nsets - 1}
+	return &Cache{cfg: cfg, setMx: nsets - 1}
+}
+
+// set returns the ways of set s.
+func (c *Cache) set(s uint64) []way {
+	n := uint64(c.cfg.Ways)
+	return c.ways[s*n : s*n+n]
 }
 
 // Config returns the cache's configuration.
@@ -109,14 +117,19 @@ type Result struct {
 // whether the access hit and whether a dirty victim was evicted. The caller
 // is responsible for charging miss/write-back traffic to the next level.
 func (c *Cache) Access(addr uint64, write bool) Result {
+	if c.ways == nil {
+		// A system builds caches for every core; small runs leave many
+		// of them untouched, so the lines are allocated on first use.
+		c.ways = make([]way, (c.setMx+1)*uint64(c.cfg.Ways))
+	}
 	set, tag := c.index(addr)
-	ways := c.sets[set]
+	ways := c.set(set)
 	c.tick++
 	for i := range ways {
-		if ways[i].valid && ways[i].tag == tag {
+		if ways[i].used != 0 && ways[i].tag&^dirtyBit == tag {
 			ways[i].used = c.tick
 			if write {
-				ways[i].dirty = true
+				ways[i].tag |= dirtyBit
 			}
 			c.Stats.Hits++
 			return Result{Hit: true}
@@ -126,7 +139,7 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 	// Choose victim: first invalid way, else LRU.
 	victim := 0
 	for i := range ways {
-		if !ways[i].valid {
+		if ways[i].used == 0 {
 			victim = i
 			break
 		}
@@ -135,23 +148,29 @@ func (c *Cache) Access(addr uint64, write bool) Result {
 		}
 	}
 	res := Result{}
-	if ways[victim].valid {
+	if v := ways[victim]; v.used != 0 {
 		c.Stats.Evictions++
-		if ways[victim].dirty {
+		if v.tag&dirtyBit != 0 {
 			c.Stats.WriteBacks++
 			res.WriteBack = true
-			res.WriteBackAddr = c.lineAddr(set, ways[victim].tag)
+			res.WriteBackAddr = c.lineAddr(set, v.tag&^dirtyBit)
 		}
 	}
-	ways[victim] = way{tag: tag, valid: true, dirty: write, used: c.tick}
+	if write {
+		tag |= dirtyBit
+	}
+	ways[victim] = way{tag: tag, used: c.tick}
 	return res
 }
 
 // Contains reports whether addr is present (no LRU update).
 func (c *Cache) Contains(addr uint64) bool {
+	if c.ways == nil {
+		return false
+	}
 	set, tag := c.index(addr)
-	for _, w := range c.sets[set] {
-		if w.valid && w.tag == tag {
+	for _, w := range c.set(set) {
+		if w.used != 0 && w.tag&^dirtyBit == tag {
 			return true
 		}
 	}
@@ -166,15 +185,13 @@ func (c *Cache) lineAddr(set, tag uint64) uint64 {
 // dirty lines (the write-back traffic at kernel completion).
 func (c *Cache) Flush() []uint64 {
 	var dirty []uint64
-	for set := range c.sets {
-		for i := range c.sets[set] {
-			w := &c.sets[set][i]
-			if w.valid && w.dirty {
-				dirty = append(dirty, c.lineAddr(uint64(set), w.tag))
-			}
-			*w = way{}
+	n := uint64(c.cfg.Ways)
+	for i, w := range c.ways {
+		if w.used != 0 && w.tag&dirtyBit != 0 {
+			dirty = append(dirty, c.lineAddr(uint64(i)/n, w.tag&^dirtyBit))
 		}
 	}
+	clear(c.ways)
 	return dirty
 }
 

@@ -175,3 +175,20 @@ func TestHitRate(t *testing.T) {
 		t.Fatal("empty HitRate != 0")
 	}
 }
+
+// TestUntouchedCacheIsEmpty: a cache never accessed (its lines are only
+// allocated on first use) holds nothing and flushes nothing, and a flush
+// leaves it empty but usable.
+func TestUntouchedCacheIsEmpty(t *testing.T) {
+	c := New(cfg())
+	if c.Contains(0x40) || len(c.Flush()) != 0 {
+		t.Fatal("untouched cache reports lines")
+	}
+	c.Access(0x40, true)
+	if len(c.Flush()) != 1 || c.Contains(0x40) {
+		t.Fatal("flush did not write back and invalidate the one dirty line")
+	}
+	if r := c.Access(0x40, false); r.Hit {
+		t.Fatal("hit after flush")
+	}
+}

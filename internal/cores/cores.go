@@ -4,10 +4,14 @@
 // Simulation is functional-first and timing-directed (DESIGN.md §3): each
 // workload thread runs the real algorithm in its own goroutine against real
 // Go data structures, and reports every memory access, compute phase and
-// synchronization point through a Ctx. The Group scheduler resumes exactly
-// one thread at a time, in simulated-time order, so the whole simulation
-// stays deterministic while the workload code reads and writes its data
-// naturally.
+// synchronization point through a Ctx. A body runs ahead of simulated time:
+// its ops queue up and it blocks only at a rendezvous (barrier,
+// collective), after a fixed-size chunk of ops, or when it returns. The
+// Group consumes the queues in simulated-time order, so the simulation
+// stays deterministic: no op returns data and Ctx exposes no time, so a
+// body's op stream cannot depend on when its ops are timed. Bodies read
+// other threads' data only across a rendezvous (the bulk-synchronous
+// discipline every workload follows).
 //
 // The core model is in-order issue with a bounded outstanding-request
 // window (MSHR-style): independent accesses (Load/Store) overlap up to the
@@ -18,7 +22,9 @@
 package cores
 
 import (
+	"errors"
 	"fmt"
+	"runtime/debug"
 
 	"repro/internal/sim"
 )
@@ -130,38 +136,41 @@ type ThreadStats struct {
 	BytesTouched uint64
 }
 
-type opKind int
+type opKind uint8
 
 const (
 	opLoad opKind = iota
 	opLoadDep
 	opStore
 	opCompute
-	opBarrier
 	opBroadcast
 	opDrain
 	opScatter
-	opCollective
 )
 
 type op struct {
-	kind   opKind
 	addr   uint64
-	size   uint32
 	cycles uint64
 	span   uint64
+	size   uint32
+	kind   opKind
 	write  bool
-	coll   CollectiveOp
 }
+
+// chunkOps bounds a thread's queue in serial phases: a body that has
+// queued this many ops hands them over without waiting for a rendezvous,
+// so a long phase buffers at most chunkOps ops (a few KB) per thread.
+const chunkOps = 64
 
 type slot struct {
 	done   sim.Time
 	remote bool
 }
 
-// termKind is how a phase segment of a thread's op stream ends: at a
-// rendezvous (barrier, collective) or by the thread finishing.
-type termKind int
+// termKind is how a handoff from a thread body ends its queued ops: the
+// chunk filled up (the phase goes on), a rendezvous (barrier, collective),
+// or the body returning.
+type termKind uint8
 
 const (
 	termNone termKind = iota
@@ -170,29 +179,50 @@ const (
 	termFinish
 )
 
+// ThreadPanic is the value Run and RunParallel re-raise on their caller
+// when a workload body panicked: the thread, the original panic value, and
+// the body's stack where it was raised.
+type ThreadPanic struct {
+	Thread int
+	Value  any
+	Stack  []byte
+}
+
+func (p *ThreadPanic) Error() string {
+	return fmt.Sprintf("cores: thread %d panicked: %v\n\n%s", p.Thread, p.Value, p.Stack)
+}
+
+// errAbandoned unwinds a body whose run was cut short by a panic.
+var errAbandoned = errors.New("cores: run abandoned")
+
 type thread struct {
 	id       int
 	homeDIMM int
 	coreID   int
 	eng      *sim.Engine // the event lane this thread's resumptions run on
+	lane     int         // eng's lane index in a parallel run, else 0
+	resume   func()      // the event that steps this thread
 	time     sim.Time
-	ops      chan op
-	ack      chan struct{}
-	started  bool
 	finished bool
 	win      []slot // outstanding ops, issue order
 	stats    ThreadStats
 
-	// Phased-mode state (RunParallel): the lane index, the segment's
-	// pre-collected op queue with its consume cursor, how the segment
-	// terminates, the terminating collective op (for uniformity checks at
-	// the join), and whether the thread is parked at its terminator.
-	lane   int
-	q      []op
-	qi     int
-	term   termKind
-	termOp op
-	parked bool
+	// The op stream. body runs on its own goroutine; wake resumes it and
+	// yield reports each handoff (see Ctx.send). The body appends to q and
+	// the consumer reads q[qi:] only between handoffs, so the two never
+	// touch the queue at once. term is how the queued ops end, coll and
+	// collBytes the terminating collective, and parked is set once the
+	// consumer processed the terminator of the current phase.
+	body      func(*Ctx)
+	wake      chan struct{}
+	yield     chan termKind
+	panicked  *ThreadPanic
+	q         []op
+	qi        int
+	term      termKind
+	coll      CollectiveOp
+	collBytes uint32
+	parked    bool
 }
 
 // Group is a gang of threads executing one NMP kernel (or the host
@@ -207,24 +237,18 @@ type Group struct {
 
 	// laneOf, when set, assigns each thread's resumption events to the
 	// event lane owning its home DIMM (sharded kernel; see internal/sim
-	// shard.go). nil keeps every thread on the group's engine. In the
-	// deterministic-merge mode the composite engine executes either
-	// assignment in the identical order, so this is purely an ownership
-	// annotation until the model runs parallel windows.
+	// shard.go). nil keeps every thread on the group's engine. Merged
+	// execution runs either assignment in the identical order; a parallel
+	// run uses it to run each lane's threads on the lane's own goroutine.
 	laneOf func(homeDIMM int) *sim.Engine
 
-	barrierArr  []sim.Time
-	barrierIn   []bool
-	barrierWait int
-
-	// Collective rendezvous state, mirroring the barrier plumbing: all
-	// unfinished threads must issue the same collective (op, bytes) before
-	// the exchange runs and releases them at a uniform time.
-	collArr   []sim.Time
-	collIn    []bool
-	collWait  int
-	collOp    CollectiveOp
-	collBytes uint32
+	// Rendezvous state: which threads wait at the pending barrier or
+	// collective, since when, and how many. Every unfinished thread must
+	// arrive at the same rendezvous (a barrier, or one collective op and
+	// payload) before it releases them at a uniform time.
+	arrived []bool
+	arrival []sim.Time
+	waiting int
 
 	// Profile[i][d] counts thread i's accesses to DIMM d when profiling is
 	// enabled — the M[T][N] table of Algorithm 1.
@@ -233,22 +257,20 @@ type Group struct {
 	profDIMMs  int
 	profDIMMOf func(addr uint64) int
 
-	// Phased-mode state (RunParallel). During a parallel span, thread
-	// events on different lanes run concurrently; everything they touch is
-	// either thread-owned (t.*, barrierArr/barrierIn/collArr/collIn rows,
-	// Profile rows) or lane-owned (the lane* slices, indexed by the
-	// executing thread's lane). The shared rendezvous counters
-	// (barrierWait/collWait/running) are only folded from the lane-owned
-	// counts at the join, in the serial driver.
-	phased        bool
-	inSpan        bool  // a parallel span is executing (lane goroutines live)
-	phaseLeft     int   // serial-phase countdown of unparked threads
-	laneActive    []int // unparked threads per lane (span loop condition)
-	laneBarrier   []int // barrier arrivals this phase, per lane
-	laneColl      []int // collective arrivals this phase, per lane
-	laneFinished  []int // threads finished this phase, per lane
-	laneParkAt    []sim.Time
-	refillScratch []*thread // reused released-thread list between joins
+	// Phase state. During a parallel span, thread events on different
+	// lanes run concurrently; everything they touch is either thread-owned
+	// (t.*, arrived/arrival rows, Profile rows) or lane-owned (the lane*
+	// slices, indexed by the executing thread's lane). The shared counters
+	// (waiting, running) are only folded from the lane-owned counts at the
+	// join, on the driving goroutine.
+	whole        bool  // fill takes whole phases (a parallel run classifies them)
+	inSpan       bool  // a parallel span is executing (lane goroutines live)
+	phaseLeft    int   // serial-phase countdown of unparked threads
+	laneActive   []int // unparked threads per lane (span loop condition)
+	laneArrived  []int // rendezvous arrivals this phase, per lane
+	laneFinished []int // threads finished this phase, per lane
+	laneParkAt   []sim.Time
+	released     []*thread // threads the join's rendezvous released
 }
 
 // NewGroup creates an empty thread group over the memory system.
@@ -277,59 +299,32 @@ func (g *Group) EnableProfiling(numDIMMs int, dimmOf func(addr uint64) int) {
 }
 
 // Spawn adds a thread with the given home DIMM (-1 for host threads) and
-// global core ID, running body. Must be called before Run.
+// global core ID, running body. Must be called before Run; the body starts
+// when the run does.
 func (g *Group) Spawn(homeDIMM, coreID int, body func(*Ctx)) *ThreadStats {
 	t := &thread{
 		id:       len(g.threads),
 		homeDIMM: homeDIMM,
 		coreID:   coreID,
 		eng:      g.eng,
-		ops:      make(chan op),
-		ack:      make(chan struct{}),
+		win:      make([]slot, 0, g.cfg.Window),
+		body:     body,
+		q:        make([]op, 0, chunkOps),
 	}
 	if g.laneOf != nil {
 		t.eng = g.laneOf(homeDIMM)
 	}
+	t.resume = func() { g.step(t) }
 	g.threads = append(g.threads, t)
 	g.running++
 	if g.profiling {
 		g.Profile = append(g.Profile, make([]uint64, g.profDIMMs))
 	}
-	go func() {
-		defer close(t.ops)
-		body(&Ctx{g: g, t: t})
-	}()
 	return &t.stats
 }
 
 // Threads returns the number of spawned threads.
 func (g *Group) Threads() int { return len(g.threads) }
-
-// Run drives the simulation until every thread has finished and returns
-// the makespan (the last thread's finish time). It panics on deadlock
-// (mismatched barriers), which is always a workload bug.
-func (g *Group) Run() sim.Time {
-	g.barrierArr = make([]sim.Time, len(g.threads))
-	g.barrierIn = make([]bool, len(g.threads))
-	g.collArr = make([]sim.Time, len(g.threads))
-	g.collIn = make([]bool, len(g.threads))
-	for _, t := range g.threads {
-		t := t
-		t.eng.At(t.eng.Now(), func() { g.step(t) })
-	}
-	for g.running > 0 {
-		if !g.eng.Step() {
-			panic(fmt.Sprintf("cores: deadlock with %d threads unfinished (mismatched barriers?)", g.running))
-		}
-	}
-	var makespan sim.Time
-	for _, t := range g.threads {
-		if t.stats.Finish > makespan {
-			makespan = t.stats.Finish
-		}
-	}
-	return makespan
-}
 
 // Stats returns the per-thread statistics (valid after Run).
 func (g *Group) Stats() []ThreadStats {
@@ -340,62 +335,265 @@ func (g *Group) Stats() []ThreadStats {
 	return out
 }
 
-// step resumes thread t at its current simulated time, obtains its next
-// operation, and processes it.
-func (g *Group) step(t *thread) {
-	if g.phased {
-		g.stepPhased(t)
-		return
+// Run drives the simulation until every thread has finished and returns
+// the makespan (the last thread's finish time). It panics on deadlock
+// (mismatched barriers), which is always a workload bug, and re-raises a
+// panic in a workload body as a *ThreadPanic.
+func (g *Group) Run() sim.Time { return g.run(nil) }
+
+// RunParallel drives the gang to completion over a sharded engine,
+// executing provably lane-confined phases concurrently (one goroutine per
+// lane) and everything else on the composite merged engine. Output is
+// byte-identical to Run on the same sharded engine in merged mode: within
+// a lane the event order is unchanged, concurrent lanes touch disjoint
+// state, and every cross-lane interaction (remote access, broadcast,
+// rendezvous release) happens in a serial context in the same order the
+// merged engine would produce. Panics are raised as in Run.
+func (g *Group) RunParallel(sh *sim.ShardedEngine) sim.Time { return g.run(sh) }
+
+// run is Run (sh == nil, one lane) and RunParallel. It drives the gang
+// phase by phase: a phase ends when every unfinished thread has parked at
+// a rendezvous or finished, and the join then folds the arrivals into the
+// shared counters and releases whatever rendezvous completed — at the
+// engine time of the last park, exactly when merged execution would. Each
+// phase runs serially on the merged engine, or — when sh is set and
+// classify proves every queued op lane-local — as one parallel span.
+func (g *Group) run(sh *sim.ShardedEngine) sim.Time {
+	lanes, step := 1, g.eng.Step
+	if sh != nil {
+		lanes, step = sh.Lanes(), sh.Step
 	}
-	if t.started {
-		t.ack <- struct{}{} // release the goroutine to produce its next op
-	}
-	t.started = true
-	o, ok := <-t.ops
-	if !ok {
-		g.retireAll(t)
-		t.finished = true
-		t.stats.Finish = t.time
-		g.running--
-		g.checkBarrier()
-		g.checkCollective()
-		return
-	}
-	switch o.kind {
-	case opBarrier:
-		g.retireAll(t)
-		g.barrierArr[t.id] = t.time
-		g.barrierIn[t.id] = true
-		g.barrierWait++
-		g.checkBarrier()
-	case opCollective:
-		g.retireAll(t)
-		if g.collWait == 0 {
-			g.collOp, g.collBytes = o.coll, o.size
-		} else if g.collOp != o.coll || g.collBytes != o.size {
-			panic(fmt.Sprintf("cores: mismatched collectives in one gang: %v/%d vs %v/%d",
-				g.collOp, g.collBytes, o.coll, o.size))
+	g.whole = lanes > 1
+	n := len(g.threads)
+	g.arrived = make([]bool, n)
+	g.arrival = make([]sim.Time, n)
+	g.laneActive = make([]int, lanes)
+	g.laneArrived = make([]int, lanes)
+	g.laneFinished = make([]int, lanes)
+	g.laneParkAt = make([]sim.Time, lanes)
+
+	for _, t := range g.threads {
+		t.lane = 0
+		if sh != nil {
+			t.lane = t.eng.LaneIndex()
 		}
-		g.collArr[t.id] = t.time
-		g.collIn[t.id] = true
-		g.collWait++
-		g.checkCollective()
-	default:
-		g.processOp(t, o)
+		t.wake = make(chan struct{})
+		t.yield = make(chan termKind)
+		go t.produce()
+	}
+	defer g.abandon()
+	g.fillAll(g.threads)
+	for _, t := range g.threads {
+		t.eng.At(t.eng.Now(), t.resume)
+	}
+
+	for g.running > 0 {
+		total := 0
+		for i := range g.laneActive {
+			g.laneActive[i] = 0
+			g.laneParkAt[i] = 0
+		}
+		for _, t := range g.threads {
+			if t.finished || t.parked {
+				continue
+			}
+			g.laneActive[t.lane]++
+			total++
+		}
+		if total == 0 {
+			g.deadlock()
+		}
+		if g.classify(lanes) {
+			g.inSpan = true
+			sh.Span(func(lane int, e *sim.Engine) {
+				for g.laneActive[lane] > 0 {
+					if !e.StepLocal() {
+						panic("cores: lane ran dry mid-span")
+					}
+				}
+			})
+			g.inSpan = false
+			var maxPark sim.Time
+			for _, at := range g.laneParkAt {
+				if at > maxPark {
+					maxPark = at
+				}
+			}
+			sh.CatchUp(maxPark)
+		} else {
+			g.phaseLeft = total
+			for g.phaseLeft > 0 {
+				if !step() {
+					g.deadlock()
+				}
+			}
+		}
+
+		// Join: fold the lane-owned counts into the shared counters, then
+		// release the rendezvous if it completed and refill its threads.
+		for i := range g.laneArrived {
+			g.waiting += g.laneArrived[i]
+			g.running -= g.laneFinished[i]
+			g.laneArrived[i] = 0
+			g.laneFinished[i] = 0
+		}
+		g.released = g.released[:0]
+		g.checkRendezvous()
+		g.fillAll(g.released)
+	}
+
+	var makespan sim.Time
+	for _, t := range g.threads {
+		if t.stats.Finish > makespan {
+			makespan = t.stats.Finish
+		}
+	}
+	return makespan
+}
+
+// deadlock reports unfinished threads that can never resume, which is
+// always a workload bug.
+func (g *Group) deadlock() {
+	panic(fmt.Sprintf("cores: deadlock with %d threads unfinished (mismatched barriers?)", g.running))
+}
+
+// produce runs t's body on its own goroutine. The body starts at the first
+// wake; its return, or its panic, is the final handoff.
+func (t *thread) produce() {
+	if _, ok := <-t.wake; !ok {
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if r == errAbandoned {
+				return
+			}
+			t.panicked = &ThreadPanic{Thread: t.id, Value: r, Stack: debug.Stack()}
+		}
+		t.yield <- termFinish
+	}()
+	t.body(&Ctx{t: t})
+}
+
+// handoff gives the queued ops to the consumer, ended by term, and blocks
+// until the consumer resumes the body.
+func (t *thread) handoff(term termKind) {
+	t.yield <- term
+	if _, ok := <-t.wake; !ok {
+		panic(errAbandoned)
 	}
 }
 
-// processOp executes one non-rendezvous op for t and schedules the
-// thread's next step. It is shared between the merged step and the phased
-// queue consumer, so the two modes process every op identically.
+// abandon unwinds the body goroutine of every thread whose body has not
+// returned; it only has work when a panic cut the run short. Every body is
+// blocked in a handoff then (each fill has returned), so each wakes to the
+// closed channel and exits.
+func (g *Group) abandon() {
+	for _, t := range g.threads {
+		if t.term != termFinish {
+			close(t.wake)
+		}
+	}
+}
+
+// fill resumes t's body and takes its next handoff: one chunk in a serial
+// run, and in a parallel run every chunk up to the phase's terminator,
+// because classify must see the whole phase before a span. This is sound
+// because Ctx exposes no time queries and no op returns data, so the op
+// stream a body produces cannot depend on when its ops are timed. fill
+// runs on the driving goroutine or a fillAll goroutine, never in a span.
+func (g *Group) fill(t *thread) {
+	t.q, t.qi = t.q[:0], 0
+	t.parked = false
+	for {
+		t.wake <- struct{}{}
+		t.term = <-t.yield
+		if t.panicked != nil {
+			panic(t.panicked)
+		}
+		if t.term != termNone || !g.whole {
+			return
+		}
+	}
+}
+
+// fillAll fills a set of threads: one after another in a serial run, whose
+// fills are one chunk each, and concurrently when the host allows in a
+// parallel run, whose fills are whole phases. A fill touches only the
+// thread's own fields and channels, so fills are mutually independent as
+// long as the workload bodies follow the BSP ownership discipline
+// (mutations between rendezvous ops touch only thread-owned state;
+// cross-thread reads happen only across a barrier). The resulting queues
+// are identical to sequential fills; filling in parallel matters because
+// for compute-heavy workloads the bodies' own Go work (input generation,
+// gradient math) dominates wall time. A body's panic reaches the caller as
+// the body's *ThreadPanic.
+func (g *Group) fillAll(ts []*thread) {
+	if !g.whole {
+		for _, t := range ts {
+			g.fill(t)
+		}
+		return
+	}
+	defer func() {
+		if r := recover(); r != nil {
+			if fp, ok := r.(*sim.FanPanic); ok {
+				r = fp.Value
+			}
+			panic(r)
+		}
+	}()
+	sim.Fan(len(ts), func(i int) { g.fill(ts[i]) })
+}
+
+// step is the one queue consumer, for serial phases and spans alike: it
+// runs t's next queued op — taking the next chunk first when one ran out —
+// or, at the end of the phase, processes the terminator and parks the
+// thread until the join. It runs on t's own lane during a span or on the
+// driving goroutine in a serial phase; all state it touches is thread- or
+// lane-owned, so concurrent lanes never conflict.
+func (g *Group) step(t *thread) {
+	if t.qi == len(t.q) && t.term == termNone {
+		g.fill(t) // serial phases only: a span's queues hold whole phases
+	}
+	if t.qi < len(t.q) {
+		o := t.q[t.qi]
+		t.qi++
+		g.processOp(t, o)
+		return
+	}
+	g.retireAll(t)
+	switch t.term {
+	case termFinish:
+		t.finished = true
+		t.stats.Finish = t.time
+		g.laneFinished[t.lane]++
+	case termBarrier, termCollective:
+		g.arrival[t.id] = t.time
+		g.arrived[t.id] = true
+		g.laneArrived[t.lane]++
+	}
+	t.parked = true
+	// Record the event time (not the post-drain thread clock): a
+	// rendezvous that completes at the join is clamped to the engine's Now
+	// at the last arrival, and a span's join must replay exactly that.
+	if at := t.eng.Now(); at > g.laneParkAt[t.lane] {
+		g.laneParkAt[t.lane] = at
+	}
+	g.laneActive[t.lane]--
+	if !g.inSpan {
+		g.phaseLeft--
+	}
+}
+
+// processOp executes one queued op for t and schedules the thread's next
+// step.
 func (g *Group) processOp(t *thread, o op) {
 	switch o.kind {
 	case opCompute:
 		t.time += sim.Cycles(o.cycles, g.period)
-		g.schedule(t)
 	case opLoad, opStore:
 		g.issue(t, o)
-		g.schedule(t)
 	case opScatter:
 		g.makeRoom(t)
 		done, remote := g.mem.Scatter(t.time, t.coreID, o.addr, o.span, o.size, o.write)
@@ -409,13 +607,11 @@ func (g *Group) processOp(t *thread, o op) {
 			g.Profile[t.id][g.profDIMMOf(o.addr)] += uint64(o.size)
 		}
 		t.time += sim.Cycles(g.cfg.IssueCycles*uint64(o.size), g.period)
-		g.schedule(t)
 	case opLoadDep:
 		g.makeRoom(t)
 		done, remote := g.access(t, o)
 		g.accountWait(t, done, remote)
 		t.time = done
-		g.schedule(t)
 	case opBroadcast:
 		g.retireAll(t)
 		done := g.mem.Broadcast(t.time, t.coreID, o.addr, o.size)
@@ -424,17 +620,16 @@ func (g *Group) processOp(t *thread, o op) {
 		t.stats.Ops++
 		t.stats.RemoteOps++
 		t.stats.BytesTouched += uint64(o.size)
-		g.schedule(t)
 	case opDrain:
 		g.retireAll(t)
-		g.schedule(t)
 	default:
 		panic(fmt.Sprintf("cores: unknown op kind %d", o.kind))
 	}
+	g.schedule(t)
 }
 
 func (g *Group) schedule(t *thread) {
-	t.eng.At(t.time, func() { g.step(t) })
+	t.eng.At(t.time, t.resume)
 }
 
 // issue puts a non-dependent access into the window, stalling only when the
@@ -453,7 +648,7 @@ func (g *Group) makeRoom(t *thread) {
 		return
 	}
 	head := t.win[0]
-	t.win = t.win[1:]
+	t.win = append(t.win[:0], t.win[1:]...)
 	g.accountWait(t, head.done, head.remote)
 	if head.done > t.time {
 		t.time = head.done
@@ -499,167 +694,66 @@ func (g *Group) access(t *thread, o op) (sim.Time, bool) {
 	return done, remote
 }
 
-// checkBarrier releases the barrier once every unfinished thread arrived.
-func (g *Group) checkBarrier() {
-	if g.barrierWait == 0 || g.barrierWait < g.running {
+// checkRendezvous completes the pending rendezvous once every unfinished
+// thread arrived: the memory system turns the arrivals into the release
+// time, at which every waiting thread is charged the wait as IDC stall
+// (and, for a collective, one remote op of the payload) and resumed. When
+// a thread finishing (rather than arriving) completed the rendezvous, the
+// release cannot predate that discovery, so it is clamped to the engine's
+// Now.
+func (g *Group) checkRendezvous() {
+	if g.waiting == 0 || g.waiting < g.running {
 		return
 	}
 	var arrivals []sim.Time
 	var dimms []int
-	var ids []int
+	var ts []*thread
 	for _, t := range g.threads {
-		if t.finished || !g.barrierIn[t.id] {
+		if !g.arrived[t.id] {
 			continue
 		}
-		arrivals = append(arrivals, g.barrierArr[t.id])
+		arrivals = append(arrivals, g.arrival[t.id])
 		dimms = append(dimms, t.homeDIMM)
-		ids = append(ids, t.id)
+		ts = append(ts, t)
 	}
-	release := g.mem.Barrier(arrivals, dimms)
-	// If the barrier was completed by a thread *finishing* (rather than
-	// arriving), the release cannot predate that discovery.
-	if now := g.eng.Now(); release < now {
-		release = now
+	first := ts[0]
+	coll := first.term == termCollective
+	for _, t := range ts[1:] {
+		if t.term != first.term || coll && (t.coll != first.coll || t.collBytes != first.collBytes) {
+			panic(fmt.Sprintf("cores: mismatched rendezvous in one gang: thread %d at %s, thread %d at %s",
+				first.id, first.rendezvous(), t.id, t.rendezvous()))
+		}
 	}
-	for i, id := range ids {
-		t := g.threads[id]
-		g.barrierIn[id] = false
-		t.stats.IDCStall += release - arrivals[i]
-		t.time = release
+	var at sim.Time
+	if coll {
+		at = g.mem.Collective(first.coll, arrivals, dimms, first.collBytes)
+	} else {
+		at = g.mem.Barrier(arrivals, dimms)
+	}
+	if now := g.eng.Now(); at < now {
+		at = now
+	}
+	for i, t := range ts {
+		g.arrived[t.id] = false
+		t.stats.IDCStall += at - arrivals[i]
+		if coll {
+			t.stats.Ops++
+			t.stats.RemoteOps++
+			t.stats.BytesTouched += uint64(first.collBytes)
+		}
+		t.time = at
 		g.schedule(t)
 	}
-	g.barrierWait = 0
+	g.waiting = 0
+	g.released = append(g.released, ts...)
 }
 
-// checkCollective runs the collective exchange once every unfinished
-// thread issued it, then releases them all at the uniform time.
-func (g *Group) checkCollective() {
-	if g.collWait == 0 || g.collWait < g.running {
-		return
+// rendezvous names the rendezvous t waits at.
+func (t *thread) rendezvous() string {
+	if t.term == termCollective {
+		return fmt.Sprintf("%v/%d", t.coll, t.collBytes)
 	}
-	var arrivals []sim.Time
-	var dimms []int
-	var ids []int
-	for _, t := range g.threads {
-		if t.finished || !g.collIn[t.id] {
-			continue
-		}
-		arrivals = append(arrivals, g.collArr[t.id])
-		dimms = append(dimms, t.homeDIMM)
-		ids = append(ids, t.id)
-	}
-	release := g.mem.Collective(g.collOp, arrivals, dimms, g.collBytes)
-	// As with barriers: when the rendezvous completes because a thread
-	// finished, the release cannot predate that discovery.
-	if now := g.eng.Now(); release < now {
-		release = now
-	}
-	for i, id := range ids {
-		t := g.threads[id]
-		g.collIn[id] = false
-		t.stats.IDCStall += release - arrivals[i]
-		t.stats.Ops++
-		t.stats.RemoteOps++
-		t.stats.BytesTouched += uint64(g.collBytes)
-		t.time = release
-		g.schedule(t)
-	}
-	g.collWait = 0
-}
-
-// fill pre-collects thread t's next phase segment: it resumes the
-// goroutine and receives ops into t.q until the stream hits a rendezvous
-// op (stored as the segment terminator, with the goroutine left blocked on
-// its ack) or the channel closes (the thread's body returned). It must run
-// in a serial context — the whole point of the fill protocol is that
-// workload goroutines never execute during parallel spans. This is sound
-// because Ctx exposes no time queries and no op returns data, so the op
-// stream a goroutine produces cannot depend on when its ops are timed.
-func (g *Group) fill(t *thread) {
-	t.q = t.q[:0]
-	t.qi = 0
-	t.term = termNone
-	t.termOp = op{}
-	t.parked = false
-	if t.started {
-		t.ack <- struct{}{}
-	}
-	t.started = true
-	for {
-		o, ok := <-t.ops
-		if !ok {
-			t.term = termFinish
-			return
-		}
-		switch o.kind {
-		case opBarrier:
-			t.term = termBarrier
-			t.termOp = o
-			return
-		case opCollective:
-			t.term = termCollective
-			t.termOp = o
-			return
-		}
-		t.q = append(t.q, o)
-		t.ack <- struct{}{}
-	}
-}
-
-// fillAll fills a set of threads, concurrently when the host allows. A
-// fill never touches engine or group state — only the thread's own
-// fields and its op/ack channels — so fills are mutually independent as
-// long as the workload bodies follow the BSP ownership discipline the
-// parallel mode requires (mutations between rendezvous ops touch only
-// thread-owned state; cross-thread reads happen only across a barrier).
-// The resulting queues are identical to sequential fills, so parallel
-// filling is byte-identity-preserving; it matters because for compute-
-// heavy workloads the goroutines' own Go-side work (input generation,
-// gradient math) dominates wall time, not event processing.
-func (g *Group) fillAll(ts []*thread) {
-	sim.Fan(len(ts), func(i int) { g.fill(ts[i]) })
-}
-
-// stepPhased consumes one queued op for t, or — when the queue is
-// exhausted — processes the segment terminator and parks the thread. It
-// runs either on t's own lane during a parallel span or on the composite
-// engine during a serial phase; all state it touches is thread- or
-// lane-owned, so concurrent lanes never conflict.
-func (g *Group) stepPhased(t *thread) {
-	if t.qi < len(t.q) {
-		o := t.q[t.qi]
-		t.qi++
-		g.processOp(t, o)
-		return
-	}
-	g.retireAll(t)
-	switch t.term {
-	case termFinish:
-		t.finished = true
-		t.stats.Finish = t.time
-		g.laneFinished[t.lane]++
-	case termBarrier:
-		g.barrierArr[t.id] = t.time
-		g.barrierIn[t.id] = true
-		g.laneBarrier[t.lane]++
-	case termCollective:
-		g.collArr[t.id] = t.time
-		g.collIn[t.id] = true
-		g.laneColl[t.lane]++
-	default:
-		panic("cores: phased thread ran out of ops with no terminator")
-	}
-	t.parked = true
-	// Record the event time (not the post-drain thread clock): the merged
-	// checkBarrier/checkCollective clamp releases to the engine's Now at
-	// the last arrival, and the join must replay exactly that clamp.
-	if at := t.eng.Now(); at > g.laneParkAt[t.lane] {
-		g.laneParkAt[t.lane] = at
-	}
-	g.laneActive[t.lane]--
-	if !g.inSpan {
-		g.phaseLeft--
-	}
+	return "barrier"
 }
 
 // classify reports whether the pending phase may run as a parallel span:
@@ -700,150 +794,22 @@ func (g *Group) classify(lanes int) bool {
 	return true
 }
 
-// RunParallel drives the gang to completion over a sharded engine,
-// executing provably lane-confined phases concurrently (one goroutine per
-// lane) and everything else on the composite merged engine. Output is
-// byte-identical to Run on the same sharded engine in merged mode: within
-// a lane the event order is unchanged, concurrent lanes touch disjoint
-// state, and every cross-lane interaction (remote access, broadcast,
-// rendezvous release) happens in a serial context in the same order the
-// merged engine would produce.
-//
-// Phases are delimited by rendezvous ops (barrier/collective — gang-wide,
-// so globally aligned across lanes) and by threads finishing. The fill
-// protocol (see fill) drains each goroutine's op stream for the phase up
-// front, so no workload goroutine runs while lanes execute concurrently.
-func (g *Group) RunParallel(sh *sim.ShardedEngine) sim.Time {
-	lanes := sh.Lanes()
-	g.barrierArr = make([]sim.Time, len(g.threads))
-	g.barrierIn = make([]bool, len(g.threads))
-	g.collArr = make([]sim.Time, len(g.threads))
-	g.collIn = make([]bool, len(g.threads))
-	g.laneActive = make([]int, lanes)
-	g.laneBarrier = make([]int, lanes)
-	g.laneColl = make([]int, lanes)
-	g.laneFinished = make([]int, lanes)
-	g.laneParkAt = make([]sim.Time, lanes)
-	g.phased = true
-	defer func() { g.phased = false }()
-
-	for _, t := range g.threads {
-		t.lane = t.eng.LaneIndex()
-	}
-	g.fillAll(g.threads)
-	for _, t := range g.threads {
-		t := t
-		t.eng.At(t.eng.Now(), func() { g.step(t) })
-	}
-
-	for g.running > 0 {
-		total := 0
-		for i := range g.laneActive {
-			g.laneActive[i] = 0
-			g.laneParkAt[i] = 0
-		}
-		for _, t := range g.threads {
-			if t.finished || t.parked {
-				continue
-			}
-			g.laneActive[t.lane]++
-			total++
-		}
-		if total == 0 {
-			panic(fmt.Sprintf("cores: deadlock with %d threads unfinished (mismatched barriers?)", g.running))
-		}
-		if g.classify(lanes) {
-			g.inSpan = true
-			sh.Span(func(lane int, e *sim.Engine) {
-				for g.laneActive[lane] > 0 {
-					if !e.StepLocal() {
-						panic("cores: lane ran dry mid-span")
-					}
-				}
-			})
-			g.inSpan = false
-			var maxPark sim.Time
-			for _, at := range g.laneParkAt {
-				if at > maxPark {
-					maxPark = at
-				}
-			}
-			sh.CatchUp(maxPark)
-		} else {
-			g.phaseLeft = total
-			for g.phaseLeft > 0 {
-				if !sh.Step() {
-					panic(fmt.Sprintf("cores: deadlock with %d threads unfinished (mismatched barriers?)", g.running))
-				}
-			}
-		}
-
-		// Join: fold the lane-owned arrival counts into the shared
-		// rendezvous counters, exactly as merged-mode step would have.
-		newColl := 0
-		for i := range g.laneBarrier {
-			g.barrierWait += g.laneBarrier[i]
-			newColl += g.laneColl[i]
-			g.running -= g.laneFinished[i]
-			g.laneBarrier[i] = 0
-			g.laneColl[i] = 0
-			g.laneFinished[i] = 0
-		}
-		if newColl > 0 {
-			first := true
-			for _, t := range g.threads {
-				if t.term != termCollective || !g.collIn[t.id] {
-					continue
-				}
-				o := t.termOp
-				if g.collWait == 0 && first {
-					g.collOp, g.collBytes = o.coll, o.size
-				} else if g.collOp != o.coll || g.collBytes != o.size {
-					panic(fmt.Sprintf("cores: mismatched collectives in one gang: %v/%d vs %v/%d",
-						g.collOp, g.collBytes, o.coll, o.size))
-				}
-				first = false
-			}
-			g.collWait += newColl
-		}
-		g.checkBarrier()
-		g.checkCollective()
-
-		// Refill every thread the rendezvous released: it is parked, no
-		// longer flagged as waiting, and its release event is scheduled.
-		released := g.refillScratch[:0]
-		for _, t := range g.threads {
-			if t.finished || !t.parked {
-				continue
-			}
-			if g.barrierIn[t.id] || g.collIn[t.id] {
-				continue
-			}
-			released = append(released, t)
-		}
-		g.refillScratch = released
-		g.fillAll(released)
-	}
-
-	var makespan sim.Time
-	for _, t := range g.threads {
-		if t.stats.Finish > makespan {
-			makespan = t.stats.Finish
-		}
-	}
-	return makespan
-}
-
 // Ctx is the interface workload code uses to interact with the timing
 // model. All methods must be called from the thread's own goroutine.
 type Ctx struct {
-	g *Group
 	t *thread
 }
 
+// send queues o. The body runs ahead of simulated time: it hands its
+// queue over, and blocks until the consumer resumes it, only when chunkOps
+// ops are queued (in a parallel run's whole-phase fill the queue keeps
+// growing, so every chunkOps-th op).
 func (c *Ctx) send(o op) {
-	c.t.ops <- o
-	<-c.t.ack
+	t := c.t
+	t.q = append(t.q, o)
+	if len(t.q)%chunkOps == 0 {
+		t.handoff(termNone)
+	}
 }
 
 // ThreadID returns the thread's index within its group.
@@ -872,7 +838,7 @@ func (c *Ctx) Compute(n uint64) {
 
 // Barrier synchronizes with every other thread in the group, using the
 // memory system's synchronization mechanism.
-func (c *Ctx) Barrier() { c.send(op{kind: opBarrier}) }
+func (c *Ctx) Barrier() { c.t.handoff(termBarrier) }
 
 // Broadcast pushes size bytes at addr (on this thread's DIMM) to all DIMMs
 // and blocks until the last DIMM received them.
@@ -882,13 +848,10 @@ func (c *Ctx) Broadcast(addr uint64, size uint32) {
 
 // Collective joins a gang-wide collective exchange of bytes per rank; the
 // thread blocks until the exchange completes. Every thread of the group
-// must issue the same (op, bytes) pair, like a barrier.
-func (c *Ctx) Collective(op CollectiveOp, bytes uint32) {
-	c.send(op2coll(op, bytes))
-}
-
-func op2coll(o CollectiveOp, bytes uint32) op {
-	return op{kind: opCollective, coll: o, size: bytes}
+// must issue the same (kind, bytes) pair, like a barrier.
+func (c *Ctx) Collective(kind CollectiveOp, bytes uint32) {
+	c.t.coll, c.t.collBytes = kind, bytes
+	c.t.handoff(termCollective)
 }
 
 // AllReduce sums a bytes-sized payload across all ranks, leaving every

@@ -1,7 +1,10 @@
 package cores
 
 import (
+	"runtime"
+	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/sim"
 )
@@ -219,15 +222,16 @@ func TestDrainWaitsForWindow(t *testing.T) {
 	eng := sim.NewEngine()
 	fm := newFake()
 	g := NewGroup(eng, DefaultConfig(), fm)
-	var drained sim.Time
-	g.Spawn(0, 0, func(c *Ctx) {
+	st := g.Spawn(0, 0, func(c *Ctx) {
 		c.Load(1<<30, 64) // remote, 500 us
 		c.Drain()
-		drained = c.t.time
+		c.Compute(1)
 	})
 	g.Run()
-	if drained < fm.remoteLat {
-		t.Fatalf("drain returned at %d before remote completion %d", drained, fm.remoteLat)
+	// The compute after the drain cannot start before the remote load
+	// completed; without the drain it would overlap it.
+	if want := fm.remoteLat + sim.Cycles(1, sim.Period(DefaultConfig().ClockHz)); st.Finish != want {
+		t.Fatalf("finish = %d, want the remote completion %d plus one cycle", st.Finish, want)
 	}
 }
 
@@ -407,6 +411,116 @@ func TestCollectiveRendezvous(t *testing.T) {
 	for i, st := range g.Stats() {
 		if st.Finish != want {
 			t.Fatalf("thread %d finish = %d, want %d", i, st.Finish, want)
+		}
+	}
+}
+
+// runRecover drives g (in parallel mode over sh when sh is non-nil) and
+// returns what the run panicked with, or nil.
+func runRecover(g *Group, sh *sim.ShardedEngine) (r any) {
+	defer func() { r = recover() }()
+	if sh != nil {
+		g.RunParallel(sh)
+	} else {
+		g.Run()
+	}
+	return nil
+}
+
+// TestBodyPanicReachesCaller: a panicking workload body must surface on
+// the goroutine that drives the run, as a *ThreadPanic naming the thread
+// and carrying the body's stack, in both drive modes. The other bodies'
+// goroutines must be released, not left blocked.
+func TestBodyPanicReachesCaller(t *testing.T) {
+	for _, parallel := range []bool{false, true} {
+		before := runtime.NumGoroutine()
+		eng := sim.NewEngine()
+		var sh *sim.ShardedEngine
+		if parallel {
+			sh = sim.NewShardedEngine(2)
+			eng = sh.Lane(0)
+		}
+		g := NewGroup(eng, DefaultConfig(), newFake())
+		if parallel {
+			g.SetLanes(func(homeDIMM int) *sim.Engine { return sh.Lane(homeDIMM % 2) })
+		}
+		for i := 0; i < 4; i++ {
+			i := i
+			g.Spawn(i, i, func(c *Ctx) {
+				c.Compute(10)
+				c.Barrier()
+				if i == 2 {
+					// Past one chunk, so a serial run raises it from a
+					// mid-phase refill, not the refill at the join.
+					for j := 0; j <= chunkOps; j++ {
+						c.Compute(1)
+					}
+					panic("boom")
+				}
+				c.Load(uint64(i*64), 64)
+				c.Barrier()
+			})
+		}
+		r := runRecover(g, sh)
+		tp, ok := r.(*ThreadPanic)
+		if !ok {
+			t.Fatalf("parallel=%v: run panicked with %T %v, want *ThreadPanic", parallel, r, r)
+		}
+		if tp.Thread != 2 || tp.Value != "boom" || !strings.Contains(string(tp.Stack), "cores_test.go") {
+			t.Fatalf("parallel=%v: ThreadPanic{Thread: %d, Value: %v}, stack:\n%s", parallel, tp.Thread, tp.Value, tp.Stack)
+		}
+		deadline := time.Now().Add(5 * time.Second)
+		for runtime.NumGoroutine() > before && time.Now().Before(deadline) {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Fatalf("parallel=%v: %d goroutines left after the panic, %d before the run", parallel, n, before)
+		}
+	}
+}
+
+// TestChunkBoundsQueue pins the op-buffer bound: a phase far longer than
+// chunkOps is consumed in chunks, so a serial run never queues more than
+// chunkOps ops per thread, and the stats are those of the ops issued.
+func TestChunkBoundsQueue(t *testing.T) {
+	eng := sim.NewEngine()
+	g := NewGroup(eng, DefaultConfig(), newFake())
+	const ops = 10*chunkOps + 3
+	for i := 0; i < 3; i++ {
+		g.Spawn(i, i, func(c *Ctx) {
+			for j := 0; j < ops; j++ {
+				c.Load(uint64(j*64), 64)
+			}
+			c.Barrier()
+			c.Store(0, 64)
+		})
+	}
+	g.Run()
+	for i, th := range g.threads {
+		if cap(th.q) > chunkOps {
+			t.Fatalf("thread %d queue grew to %d ops, bound is %d", i, cap(th.q), chunkOps)
+		}
+		if st := th.stats; st.Ops != ops+1 {
+			t.Fatalf("thread %d issued %d ops, want %d", i, st.Ops, ops+1)
+		}
+	}
+}
+
+// TestMismatchedRendezvousPanics: threads meeting at different
+// collectives (or a collective and a barrier) are a workload bug the run
+// must report, not resolve.
+func TestMismatchedRendezvousPanics(t *testing.T) {
+	for name, second := range map[string]func(*Ctx){
+		"op":      func(c *Ctx) { c.AllGather(4096) },
+		"bytes":   func(c *Ctx) { c.AllReduce(64) },
+		"barrier": func(c *Ctx) { c.Barrier() },
+	} {
+		g := NewGroup(sim.NewEngine(), DefaultConfig(), newFake())
+		g.Spawn(0, 0, func(c *Ctx) { c.AllReduce(4096) })
+		g.Spawn(1, 1, second)
+		r := runRecover(g, nil)
+		if msg, _ := r.(string); !strings.Contains(msg, "mismatched rendezvous") {
+			t.Fatalf("%s: run ended with %v, want a mismatched-rendezvous panic", name, r)
 		}
 	}
 }

@@ -23,7 +23,9 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strconv"
+	"strings"
 	"sync"
 	"time"
 
@@ -94,7 +96,7 @@ func newServerCore(cfg Config) *Server {
 	// have to wait for the first eviction to learn the series exists.
 	names := []string{
 		"http.requests", "jobs.submitted", "jobs.completed", "jobs.failed",
-		"jobs.canceled", "jobs.deduped", "queue.rejects",
+		"jobs.panicked", "jobs.canceled", "jobs.deduped", "queue.rejects",
 		"cache.hits", "cache.misses", "cache.evictions",
 		"results.hits", "results.misses", "results.admitted",
 	}
@@ -194,7 +196,8 @@ func (s *Server) runJob(j *Job) {
 		s.mu.Unlock()
 	}
 
-	res, err := s.runSpec(ctx, j.Spec, progress, coll)
+	res, err := s.runRecovered(ctx, j, progress, coll)
+	panicked := errors.Is(err, errPanicked)
 
 	if traceFile != nil {
 		_ = coll.Trace.Close()
@@ -246,6 +249,9 @@ func (s *Server) runJob(j *Job) {
 
 	s.mmu.Lock()
 	s.ctrs.Inc(outcome)
+	if panicked {
+		s.ctrs.Inc("jobs.panicked")
+	}
 	s.reg.Hist("job.wait.us").Observe(uint64(wait / time.Microsecond))
 	s.reg.Hist("job.run.us").Observe(uint64(run / time.Microsecond))
 	if j.State == JobDone {
@@ -255,6 +261,25 @@ func (s *Server) runJob(j *Job) {
 
 	s.writeStatusSideFile(j, st)
 	s.logf("dlserve: job %s %s (%s) in %.1fms", j.ID, j.State, j.Hash[:12], float64(run)/float64(time.Millisecond))
+}
+
+// errPanicked marks the error of a job whose runner panicked: a content-
+// addressed spec that panics once panics every time, so it fails alone
+// instead of taking the worker, and the process, down with it.
+var errPanicked = errors.New("serve: job panicked")
+
+// runRecovered runs the job's spec, turning a panic into an errPanicked
+// error. The error keeps the panic value's first line; the log gets the
+// rest, such as the stack a *cores.ThreadPanic or *sim.FanPanic carries.
+func (s *Server) runRecovered(ctx context.Context, j *Job, progress func(done, total int), coll *metrics.Collector) (res *Result, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			s.logf("dlserve: job %s panicked: %v\n%s", j.ID, r, debug.Stack())
+			msg, _, _ := strings.Cut(fmt.Sprint(r), "\n")
+			res, err = nil, fmt.Errorf("%w: %s", errPanicked, msg)
+		}
+	}()
+	return s.runSpec(ctx, j.Spec, progress, coll)
 }
 
 // evictionsLocked records cache evictions; caller holds mu, so take mmu

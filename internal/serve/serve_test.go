@@ -904,3 +904,41 @@ func TestDrainAbortsLongPollGone(t *testing.T) {
 		t.Fatal("long-poll still parked after forced drain")
 	}
 }
+
+// TestPanickingJobFailsAlone pins the failure-confinement contract: a job
+// whose runner panics ends as JobFailed and bumps jobs.panicked, and the
+// same server then runs the next job normally.
+func TestPanickingJobFailsAlone(t *testing.T) {
+	first := true // only the one worker touches it
+	srv := NewServer(Config{Workers: 1, Runner: func(ctx context.Context, sp spec.Spec, progress func(int, int), coll *metrics.Collector) (*Result, error) {
+		if first {
+			first = false
+			panic("workload bug")
+		}
+		return &Result{Text: []byte("ok\n"), JSON: []byte("{}")}, nil
+	}})
+	defer srv.Close()
+	ts := httptest.NewServer(srv)
+	defer ts.Close()
+
+	_, st := postSpec(t, ts, uniqueSpec(1))
+	fin := waitDone(t, ts, st.ID)
+	if fin.State != JobFailed || !strings.Contains(fin.Error, "workload bug") {
+		t.Fatalf("panicking job finished as %s (%q), want failed with the panic value", fin.State, fin.Error)
+	}
+
+	_, st2 := postSpec(t, ts, uniqueSpec(2))
+	if fin2 := waitDone(t, ts, st2.ID); fin2.State != JobDone {
+		t.Fatalf("job after the panic finished as %s (%s)", fin2.State, fin2.Error)
+	}
+	_, body := getResult(t, ts, st2.ID, "")
+	if string(body) != "ok\n" {
+		t.Fatalf("result after the panic = %q", body)
+	}
+	_, m := getMetrics(t, ts)
+	for _, want := range []string{"dlserve_jobs_panicked_total 1", "dlserve_jobs_failed_total 1", "dlserve_jobs_completed_total 1"} {
+		if !strings.Contains(m, want) {
+			t.Errorf("/metrics missing %q", want)
+		}
+	}
+}

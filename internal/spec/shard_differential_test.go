@@ -14,9 +14,11 @@ import (
 // shardDiffSpecs is the workload table: one entry per distinct code path
 // the kernel drives — intra-group traffic, broadcast trees, every
 // mechanism's interconnect, a multi-group topology, and the fault layer
-// (DLL retries, reroutes and host fallback all ride the event engine).
+// (DLL retries, reroutes and host fallback all ride the event engine) —
+// followed by the digest table (every workload on every digest mechanism,
+// see golden_digest_test.go).
 func shardDiffSpecs() []Spec {
-	return []Spec{
+	return append([]Spec{
 		{Kind: KindSim, Workload: "p2p", DIMMs: 4, Channels: 2},
 		{Kind: KindSim, Workload: "sync", DIMMs: 8, Channels: 4},
 		{Kind: KindSim, Workload: "bfs", Scale: 10, DIMMs: 8, Channels: 4},
@@ -26,7 +28,7 @@ func shardDiffSpecs() []Spec {
 		{Kind: KindSim, Workload: "p2p", DIMMs: 16, Channels: 8, Topology: "ring"},
 		{Kind: KindSim, Workload: "p2p", DIMMs: 8, Channels: 4,
 			Fault: "ber=1e-6,down=0-1@10us,stall=2-3@5us+20us,degrade=1-2@0*0.5"},
-	}
+	}, digestSpecs()...)
 }
 
 // report runs the spec at the given shard count and returns the rendered

@@ -15,7 +15,7 @@ package workloads
 
 import (
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // CSR is a graph in compressed sparse row form.
@@ -43,6 +43,13 @@ func (g *CSR) NumEdges() int { return len(g.Edges) }
 // scale. Self-loops are dropped; multi-edges are kept (they occur in the
 // real dataset too). Weights are uniform in [1, 64) for SSSP.
 func RMAT(scale, edgeFactor int, seed int64) *CSR {
+	n, pairs := rmatPairs(scale, edgeFactor, seed)
+	return csrFromPairs(n, pairs, seed)
+}
+
+// rmatPairs draws RMAT's directed edge list, both directions of every
+// undirected edge, in generation order.
+func rmatPairs(scale, edgeFactor int, seed int64) (int32, []edge) {
 	n := int32(1) << uint(scale)
 	m := int(n) * edgeFactor
 	rng := rand.New(rand.NewSource(seed))
@@ -50,7 +57,6 @@ func RMAT(scale, edgeFactor int, seed int64) *CSR {
 	// low-numbered hub vertices all land in partition 0 and load imbalance
 	// drowns every other effect.
 	perm := rng.Perm(int(n))
-	type edge struct{ u, v int32 }
 	edges := make([]edge, 0, 2*m)
 	for i := 0; i < m; i++ {
 		var u, v int32
@@ -73,28 +79,7 @@ func RMAT(scale, edgeFactor int, seed int64) *CSR {
 		u, v = int32(perm[u]), int32(perm[v])
 		edges = append(edges, edge{u, v}, edge{v, u})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
-	g := &CSR{
-		N:       n,
-		Offsets: make([]int32, n+1),
-		Edges:   make([]int32, len(edges)),
-		Weights: make([]int32, len(edges)),
-	}
-	wrng := rand.New(rand.NewSource(seed + 1))
-	for i, e := range edges {
-		g.Offsets[e.u+1]++
-		g.Edges[i] = e.v
-		g.Weights[i] = 1 + int32(wrng.Intn(63))
-	}
-	for v := int32(0); v < n; v++ {
-		g.Offsets[v+1] += g.Offsets[v]
-	}
-	return g
+	return n, edges
 }
 
 // Community generates a modular graph of 2^scale vertices with edgeFactor
@@ -107,6 +92,13 @@ func RMAT(scale, edgeFactor int, seed int64) *CSR {
 // exploit; the degree distribution is kept near-uniform so that load
 // imbalance does not drown the IDC comparison.
 func Community(scale, edgeFactor int, seed int64) *CSR {
+	n, pairs := communityPairs(scale, edgeFactor, seed)
+	return csrFromPairs(n, pairs, seed)
+}
+
+// communityPairs draws Community's directed edge list, both directions of
+// every undirected edge, in generation order.
+func communityPairs(scale, edgeFactor int, seed int64) (int32, []edge) {
 	n := int32(1) << uint(scale)
 	blocks := int32(64)
 	if n < blocks*4 {
@@ -117,7 +109,6 @@ func Community(scale, edgeFactor int, seed int64) *CSR {
 	}
 	blockSize := n / blocks
 	rng := rand.New(rand.NewSource(seed))
-	type edge struct{ u, v int32 }
 	m := int(n) * edgeFactor
 	edges := make([]edge, 0, 2*m)
 	for i := 0; i < m; i++ {
@@ -146,26 +137,42 @@ func Community(scale, edgeFactor int, seed int64) *CSR {
 		}
 		edges = append(edges, edge{u, v}, edge{v, u})
 	}
-	sort.Slice(edges, func(i, j int) bool {
-		if edges[i].u != edges[j].u {
-			return edges[i].u < edges[j].u
-		}
-		return edges[i].v < edges[j].v
-	})
+	return n, edges
+}
+
+// edge is one directed edge u -> v of a generator's edge list.
+type edge struct{ u, v int32 }
+
+// csrFromPairs builds the CSR of an n-vertex directed edge list in
+// O(m + sum of row sorts): it counts out-degrees, scatters each target
+// into its source's row, and sorts every row. Rows in (u, v) order are
+// exactly the order a full comparison sort of the list by (u, v) yields,
+// so the CSR does not depend on how it was built. Weights are uniform in
+// [1, 64), drawn from seed+1 in CSR order.
+func csrFromPairs(n int32, pairs []edge, seed int64) *CSR {
 	g := &CSR{
 		N:       n,
 		Offsets: make([]int32, n+1),
-		Edges:   make([]int32, len(edges)),
-		Weights: make([]int32, len(edges)),
+		Edges:   make([]int32, len(pairs)),
+		Weights: make([]int32, len(pairs)),
 	}
-	wrng := rand.New(rand.NewSource(seed + 1))
-	for i, e := range edges {
+	for _, e := range pairs {
 		g.Offsets[e.u+1]++
-		g.Edges[i] = e.v
-		g.Weights[i] = 1 + int32(wrng.Intn(63))
 	}
 	for v := int32(0); v < n; v++ {
 		g.Offsets[v+1] += g.Offsets[v]
+	}
+	next := slices.Clone(g.Offsets[:n])
+	for _, e := range pairs {
+		g.Edges[next[e.u]] = e.v
+		next[e.u]++
+	}
+	for v := int32(0); v < n; v++ {
+		slices.Sort(g.Edges[g.Offsets[v]:g.Offsets[v+1]])
+	}
+	wrng := rand.New(rand.NewSource(seed + 1))
+	for i := range g.Weights {
+		g.Weights[i] = 1 + int32(wrng.Intn(63))
 	}
 	return g
 }

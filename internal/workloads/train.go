@@ -2,6 +2,7 @@ package workloads
 
 import (
 	"math/rand"
+	"sync/atomic"
 
 	"repro/internal/cores"
 	"repro/internal/mem"
@@ -92,10 +93,10 @@ func (tr *Train) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 	grads.AllocState(sys, "train.grad", uint64(tr.Params)*8, mem.Private)
 
 	w := make([]float64, tr.Params)
-	partial := make([][]int64, t)
-	for i := range partial {
-		partial[i] = make([]int64, tr.Params)
-	}
+	// total accumulates the step's quantized gradient contributions of
+	// every worker. Integer addition is exact and order-free, so workers
+	// add straight into it — atomically, because bodies run concurrently
+	// between rendezvous points — and the sum matches any sharding.
 	total := make([]int64, tr.Params)
 
 	body := func(tid int, c *cores.Ctx) {
@@ -107,10 +108,6 @@ func (tr *Train) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 			streamLoad(c, replica.Seg(me), 0, wBytes)
 			streamLoad(c, shard.Seg(me), 0, uint64(hi-lo)*sampleBytes)
 			c.Compute(uint64(hi-lo) * uint64(tr.K) * 4)
-			p := partial[me]
-			for i := range p {
-				p[i] = 0
-			}
 			for s := lo; s < hi; s++ {
 				pred := 0.0
 				base := s * tr.K
@@ -121,27 +118,21 @@ func (tr *Train) Run(sys *nmp.System, placement []int, profile bool) (nmp.Kernel
 				for j := 0; j < tr.K; j++ {
 					// Quantize each contribution independently so the sum is
 					// shard-partitioning-invariant integer arithmetic.
-					p[tr.featIdx[base+j]] += int64(err * tr.featVal[base+j] * gradScale)
+					atomic.AddInt64(&total[tr.featIdx[base+j]], int64(err*tr.featVal[base+j]*gradScale))
 				}
 			}
 			streamStore(c, grads.Seg(me), 0, wBytes)
 			// Exchange gradients: the IDC collective is the step's sync point.
 			c.AllReduce(tr.gradPayload())
 			// Everyone owns the reduced gradient now; worker 0 applies the
-			// update to the shared model (the engine's single-resumption rule
-			// serializes this with the barrier below).
+			// update to the shared model and clears the sum for the next
+			// step (the barrier below orders both before any worker's next
+			// read or add).
 			if me == 0 {
-				for i := range total {
-					total[i] = 0
-				}
-				for q := 0; q < t; q++ {
-					for i, v := range partial[q] {
-						total[i] += v
-					}
-				}
 				inv := trainLR / (gradScale * float64(tr.Samples))
 				for i := range w {
 					w[i] -= float64(total[i]) * inv
+					total[i] = 0
 				}
 			}
 			c.Compute(uint64(tr.Params))
