@@ -109,6 +109,9 @@ if [ "${1:-}" != "quick" ]; then
 	echo "== histogram benchmark smoke"
 	go test -bench BenchmarkHistogram -benchtime 100x -run '^$' ./internal/metrics/ >/dev/null
 
+	echo "== DRAM benchmark smoke (single-line bank FSM and 4 KiB streamed accesses)"
+	go test -bench BenchmarkDRAM -benchtime 100x -run '^$' ./internal/dram/ >/dev/null
+
 	echo "== go test -race ./internal/serve/... (service + cluster layers under the race detector)"
 	go test -race ./internal/serve/...
 

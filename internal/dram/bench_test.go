@@ -24,3 +24,24 @@ func BenchmarkDRAMBankFSM(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkDRAMStream measures the streamed-access path in the shape of a
+// workload's bulk chunk: each iteration reads one 4 KiB block and writes
+// another, both sequential streams through the DIMM. It reports the cost
+// per 64-byte line.
+func BenchmarkDRAMStream(b *testing.B) {
+	g := testGeo()
+	m := New(g, DDR4_3200(), 0)
+	const chunk = 4096
+	half := g.DIMMCapBytes / 2
+	var t sim.Time
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		off := uint64(i) * chunk % half
+		rd := m.Access(t, off, chunk, false)
+		wr := m.Access(t, half+off, chunk, true)
+		t = max(t, rd, wr)
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*2*chunk/int(g.LineBytes)), "ns/line")
+}

@@ -183,18 +183,37 @@ func (rk *rank) activateAt(t sim.Time, tim Timing) sim.Time {
 // the rank data bus. Requests larger than one line are split into
 // line-sized column accesses that pipeline on the bank and serialize on the
 // data bus. addr must belong to this module's DIMM.
+//
+// The request is walked one DRAM row at a time. Decode's layout puts every
+// line with the same off/RowBytes in one DIMM, rank, bank and row, and a
+// DIMM boundary is always a row boundary, so decoding a row's first line
+// resolves (and DIMM-checks) all of that row's lines.
 func (m *Module) Access(at sim.Time, addr uint64, size uint32, write bool) sim.Time {
 	if size == 0 {
 		size = 1
 	}
 	line := m.geo.LineBytes
-	first := m.geo.LineAddr(addr)
 	last := m.geo.LineAddr(addr + uint64(size) - 1)
+	t := m.refreshAdjust(at)
 	done := at
-	for a := first; ; a += line {
-		end := m.accessLine(at, a, write)
-		if end > done {
-			done = end
+	for a := m.geo.LineAddr(addr); ; a += line {
+		loc := m.geo.Decode(a)
+		if loc.DIMM != m.DIMM {
+			panic(fmt.Sprintf("dram: address %#x (DIMM %d) routed to DIMM %d", a, loc.DIMM, m.DIMM))
+		}
+		rk := m.ranks[loc.Rank]
+		bk := &rk.banks[loc.Bank]
+		row := int64(loc.Row)
+		// The row's last line, not its last byte: a byte bound would never
+		// equal a line address and run the walk into the next row.
+		rowLast := min(last, m.geo.LineAddr(a|(m.geo.RowBytes-1)))
+		for ; ; a += line {
+			if end := m.accessLine(t, rk, bk, row, write); end > done {
+				done = end
+			}
+			if a == rowLast {
+				break
+			}
 		}
 		if a == last {
 			break
@@ -210,16 +229,9 @@ func (m *Module) Access(at sim.Time, addr uint64, size uint32, write bool) sim.T
 	return done
 }
 
-func (m *Module) accessLine(at sim.Time, lineAddr uint64, write bool) sim.Time {
-	loc := m.geo.Decode(lineAddr)
-	if loc.DIMM != m.DIMM {
-		panic(fmt.Sprintf("dram: address %#x (DIMM %d) routed to DIMM %d", lineAddr, loc.DIMM, m.DIMM))
-	}
-	rk := m.ranks[loc.Rank]
-	bk := &rk.banks[loc.Bank]
-	t := m.refreshAdjust(at)
-
-	row := int64(loc.Row)
+// accessLine issues one line-sized column access to row of bank bk on rank
+// rk. t must already be past any refresh window (refreshAdjust).
+func (m *Module) accessLine(t sim.Time, rk *rank, bk *bank, row int64, write bool) sim.Time {
 	if bk.openRow == row {
 		m.Stats.RowHits++
 	} else {

@@ -1,6 +1,10 @@
 package dram
 
 import (
+	"fmt"
+	"math/rand"
+	"reflect"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -195,6 +199,153 @@ func TestAccessWrongDIMMPanics(t *testing.T) {
 		}
 	}()
 	m.Access(0, g.DIMMCapBytes+64, 64, false)
+}
+
+// TestAccessRunningIntoNextDIMMPanics: a multi-row access that starts on
+// the module's own DIMM and runs past DIMMCapBytes must still panic once
+// the row walk reaches the next DIMM's first row.
+func TestAccessRunningIntoNextDIMMPanics(t *testing.T) {
+	g := testGeo()
+	m := New(g, DDR4_3200(), 0)
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("access running into the next DIMM did not panic")
+		}
+		if msg := fmt.Sprint(r); !strings.Contains(msg, "routed to DIMM 0") {
+			t.Fatalf("unexpected panic: %s", msg)
+		}
+	}()
+	m.Access(0, g.DIMMCapBytes-2*g.RowBytes+100, uint32(3*g.RowBytes), false)
+}
+
+// accessOracle is the per-line walk the row walk of Access replaced: every
+// line of the request is decoded (and DIMM-checked) on its own, and every
+// line reads the refresh window from the request's start time.
+func accessOracle(m *Module, at sim.Time, addr uint64, size uint32, write bool) sim.Time {
+	if size == 0 {
+		size = 1
+	}
+	line := m.geo.LineBytes
+	first := m.geo.LineAddr(addr)
+	last := m.geo.LineAddr(addr + uint64(size) - 1)
+	done := at
+	for a := first; ; a += line {
+		loc := m.geo.Decode(a)
+		if loc.DIMM != m.DIMM {
+			panic(fmt.Sprintf("dram: address %#x (DIMM %d) routed to DIMM %d", a, loc.DIMM, m.DIMM))
+		}
+		rk := m.ranks[loc.Rank]
+		end := m.accessLine(m.refreshAdjust(at), rk, &rk.banks[loc.Bank], int64(loc.Row), write)
+		if end > done {
+			done = end
+		}
+		if a == last {
+			break
+		}
+	}
+	if write {
+		m.Stats.Writes++
+		m.Stats.WriteBytes += uint64(size)
+	} else {
+		m.Stats.Reads++
+		m.Stats.ReadBytes += uint64(size)
+	}
+	return done
+}
+
+// TestAccessMatchesPerLineOracle drives a module and an oracle module with
+// the same seeded request mix and requires identical return times, Stats,
+// bus utilization and bank state. The mix has sizes from 1 B to 64 KiB at
+// unaligned starts, spans across row, bank and rank boundaries, streams
+// that revisit open rows and strides that conflict with them, reads and
+// writes, start times inside and past refresh windows, both page policies,
+// and a module that is not DIMM 0.
+func TestAccessMatchesPerLineOracle(t *testing.T) {
+	small := mem.Geometry{NumDIMMs: 4, NumChannels: 2, DIMMCapBytes: 1 << 20,
+		RanksPerDIMM: 2, BanksPerRank: 4, RowBytes: 1024, LineBytes: 64}
+	var seed int64
+	for _, g := range []mem.Geometry{testGeo(), small} {
+		for _, closed := range []bool{false, true} {
+			for dimm := 0; dimm < 2; dimm++ {
+				seed++
+				name := fmt.Sprintf("row%d-closed=%v-dimm%d", g.RowBytes, closed, dimm)
+				t.Run(name, func(t *testing.T) {
+					tim := DDR4_3200()
+					tim.ClosedPage = closed
+					checkAgainstOracle(t, g, tim, dimm, seed)
+				})
+			}
+		}
+	}
+}
+
+func checkAgainstOracle(t *testing.T, g mem.Geometry, tim Timing, dimm int, seed int64) {
+	rng := rand.New(rand.NewSource(seed))
+	m, o := New(g, tim, dimm), New(g, tim, dimm)
+	base := g.DIMMBase(dimm)
+	rankSpan := g.RowBytes * uint64(g.BanksPerRank)
+	bankSpan := rankSpan * uint64(g.RanksPerDIMM) // same bank, next row
+	const maxSize = 64 << 10
+	var at, now sim.Time
+	next := base
+	for i := 0; i < 3000; i++ {
+		size := uint32(1 + rng.Intn(256))
+		if rng.Intn(3) == 0 {
+			size = uint32(1 + rng.Intn(maxSize))
+		}
+		// straddle starts the request up to size bytes before boundary b.
+		straddle := func(b uint64) uint64 { return b - min(b, uint64(rng.Intn(int(size)))) }
+		var off uint64
+		switch rng.Intn(6) {
+		case 0: // continue the previous request's stream
+			off = next - base
+		case 1: // across a row (and bank) boundary
+			off = straddle(uint64(1+rng.Intn(64)) * g.RowBytes)
+		case 2: // across a rank boundary
+			off = straddle(uint64(1+rng.Intn(8)) * rankSpan)
+		case 3: // another row of a recently used bank
+			off = next - base + uint64(1+rng.Intn(3))*bankSpan
+		default:
+			off = uint64(rng.Int63n(int64(4 << 20)))
+		}
+		if off+uint64(size) > g.DIMMCapBytes {
+			off = g.DIMMCapBytes - uint64(size) - uint64(rng.Intn(64))
+		}
+		addr := base + off
+		next = addr + uint64(size)
+
+		switch rng.Intn(8) {
+		case 0: // inside a refresh window
+			at = sim.Time(1+rng.Intn(20))*tim.TREFI + sim.Time(rng.Int63n(int64(tim.TRFC)))
+		case 1: // just past a refresh window
+			at = sim.Time(1+rng.Intn(20))*tim.TREFI + tim.TRFC + sim.Time(rng.Intn(1000))
+		default:
+			at += sim.Time(rng.Intn(20000))
+		}
+		write := rng.Intn(3) == 0
+		got := m.Access(at, addr, size, write)
+		want := accessOracle(o, at, addr, size, write)
+		if got != want {
+			t.Fatalf("request %d (at %d, addr %#x, size %d, write %v): done %d, oracle %d",
+				i, at, addr, size, write, got, want)
+		}
+		now = max(now, got)
+	}
+	if m.Stats != o.Stats {
+		t.Fatalf("stats %+v, oracle %+v", m.Stats, o.Stats)
+	}
+	for _, q := range []sim.Time{now / 2, now} {
+		if got, want := m.BusUtilization(q), o.BusUtilization(q); !reflect.DeepEqual(got, want) {
+			t.Fatalf("BusUtilization(%d) = %v, oracle %v", q, got, want)
+		}
+	}
+	if !reflect.DeepEqual(m.ranks, o.ranks) {
+		t.Fatal("rank and bank state diverge from the oracle")
+	}
+	if m.Stats.RowEmpty == 0 || (!tim.ClosedPage && (m.Stats.RowHits == 0 || m.Stats.RowMisses == 0)) {
+		t.Fatalf("request mix misses a bank outcome: %+v", m.Stats)
+	}
 }
 
 func TestMonotoneCompletionProperty(t *testing.T) {

@@ -119,14 +119,14 @@ func (g Geometry) DIMMBase(dimm int) uint64 {
 // TotalBytes returns total system capacity.
 func (g Geometry) TotalBytes() uint64 { return uint64(g.NumDIMMs) * g.DIMMCapBytes }
 
-// Location is a fully decoded DRAM coordinate.
+// Location is a decoded DRAM coordinate. The host channel is not part of
+// it: the DRAM model never needs it, and ChannelOfDIMM(DIMM) gives it.
 type Location struct {
-	DIMM    int
-	Channel int
-	Rank    int
-	Bank    int
-	Row     uint64
-	Col     uint64 // byte offset within the row, line-aligned
+	DIMM int
+	Rank int
+	Bank int
+	Row  uint64
+	Col  uint64 // byte offset within the row, line-aligned
 }
 
 // Decode maps addr to its DRAM coordinate. The intra-DIMM layout is
@@ -146,12 +146,11 @@ func (g Geometry) Decode(addr uint64) Location {
 	rank := int(rowIdx % uint64(g.RanksPerDIMM))
 	row := rowIdx / uint64(g.RanksPerDIMM)
 	return Location{
-		DIMM:    dimm,
-		Channel: g.ChannelOfDIMM(dimm),
-		Rank:    rank,
-		Bank:    bank,
-		Row:     row,
-		Col:     col &^ (g.LineBytes - 1),
+		DIMM: dimm,
+		Rank: rank,
+		Bank: bank,
+		Row:  row,
+		Col:  col &^ (g.LineBytes - 1),
 	}
 }
 
